@@ -378,22 +378,6 @@ func (n *Node) RBCDigestBytes() int { return n.bcast.DigestBytes() }
 // pruning, one 64-byte digest per touched round.
 func (n *Node) JustificationsRetained() int { return n.val.JustificationsRetained() }
 
-// ReleaseResidueBelow retires the residue windowed pruning keeps forever:
-// the compact RBC delivered-digest records of rounds below floor and the
-// validator's justification digests below floor−1 (round floor's step-1
-// justification reads round floor−1's digest, so that one stays). Late
-// messages for the released rounds are silently refused rather than judged.
-//
-// This hook is never called by the node's own windowing (enterRound): it
-// exists for a checkpointing layer above a long-lived instance, which must
-// hold a protocol-level certificate that every round below floor is settled
-// — the quorum cut of internal/ckpt, under which a process still missing
-// those rounds is served state transfer instead of a replay.
-func (n *Node) ReleaseResidueBelow(floor int) {
-	n.bcast.DropRoundBelow(floor)
-	n.val.ReleaseTalliesBelow(floor - 1)
-}
-
 // onRBC feeds a reliable-broadcast payload through the broadcaster, then
 // processes whatever it delivered.
 func (n *Node) onRBC(out []types.Message, from types.ProcessID, p *types.RBCPayload) []types.Message {

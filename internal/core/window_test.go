@@ -121,41 +121,3 @@ func TestNegativeWindowRejected(t *testing.T) {
 		t.Fatal("negative window accepted")
 	}
 }
-
-// TestReleaseResidueBelowRetiresDigestRecordsAndTallies: the checkpoint
-// hook retires what windowing keeps forever — compact RBC digest records
-// and justification digests — while keeping the boundary round's digest
-// (round floor−1), which round floor's step-1 justification still reads.
-func TestReleaseResidueBelowRetiresDigestRecordsAndTallies(t *testing.T) {
-	const rounds = 12
-	nodes := stalledClusterWindow(t, 4, 1, rounds, 1, false)
-	nd := nodes[0]
-	if nd.RBCDigestBytes() == 0 {
-		t.Fatal("no digest-record residue accumulated before release")
-	}
-	justBefore := nd.JustificationsRetained()
-	if justBefore < rounds-1 {
-		t.Fatalf("justification digests = %d, want ≥ %d", justBefore, rounds-1)
-	}
-
-	floor := rounds - 2
-	nd.ReleaseResidueBelow(floor)
-	// Records below the floor are gone; the windowed live set is untouched.
-	if got := nd.RBCDigestBytes(); got >= (rounds-floor+1)*3*4*40 {
-		t.Errorf("digest bytes after release = %d, want bounded by the suffix", got)
-	}
-	// Digests for rounds ≥ floor−1 stay (boundary retained), older are gone.
-	remaining := nd.JustificationsRetained()
-	if want := justBefore - (floor - 2); remaining != want {
-		t.Errorf("justification digests after release = %d, want %d", remaining, want)
-	}
-	// Idempotent and monotone.
-	nd.ReleaseResidueBelow(floor)
-	if nd.JustificationsRetained() != remaining {
-		t.Error("repeated release changed retention")
-	}
-	nd.ReleaseResidueBelow(floor - 5)
-	if nd.JustificationsRetained() != remaining {
-		t.Error("lower release changed retention")
-	}
-}

@@ -1,6 +1,7 @@
 package rbc
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/quorum"
@@ -75,44 +76,6 @@ func TestDropSeqBelowReleasesRecordsAndLiveInstances(t *testing.T) {
 	}
 }
 
-func TestDropRoundBelowReleasesRoundNamespaceOnly(t *testing.T) {
-	spec := quorum.MustNew(4, 1)
-	peers := types.Processes(4)
-	b := New(peers[1], peers, spec)
-
-	roundID := func(r int) types.InstanceID {
-		return types.InstanceID{Sender: peers[0], Tag: types.Tag{Round: r, Step: types.Step1, Seq: 0}}
-	}
-	for r := 1; r <= 3; r++ {
-		id := roundID(r)
-		b.Handle(peers[0], &types.RBCPayload{Phase: types.KindRBCSend, ID: id, Body: "v"})
-		for _, p := range peers {
-			b.Handle(p, &types.RBCPayload{Phase: types.KindRBCEcho, ID: id, Body: "v"})
-		}
-		for _, p := range peers {
-			b.Handle(p, &types.RBCPayload{Phase: types.KindRBCReady, ID: id, Body: "v"})
-		}
-	}
-	b.PruneBelow(3) // rounds 1, 2 → records
-	seqID := runSeqInstance(t, b, peers, 99, "seq-plane")
-
-	if got := b.DropRoundBelow(3); got != 2 {
-		t.Fatalf("DropRoundBelow dropped %d, want 2 records", got)
-	}
-	if !b.Delivered(seqID) {
-		t.Fatal("round drop touched the sequence namespace")
-	}
-	if !b.Delivered(roundID(3)) {
-		t.Fatal("round drop touched a round at the watermark")
-	}
-	// Late traffic for a dropped round is silent and regrows nothing.
-	before := b.Instances()
-	out, ds := b.Handle(peers[0], &types.RBCPayload{Phase: types.KindRBCSend, ID: roundID(1), Body: "v"})
-	if len(out) != 0 || len(ds) != 0 || b.Instances() != before {
-		t.Fatal("late SEND for a dropped round was not silent")
-	}
-}
-
 func TestDropWatermarksAreMonotone(t *testing.T) {
 	spec := quorum.MustNew(4, 1)
 	peers := types.Processes(4)
@@ -124,7 +87,47 @@ func TestDropWatermarksAreMonotone(t *testing.T) {
 	if got := b.DropSeqBelow(7); got != 0 {
 		t.Fatalf("lower re-drop released %d, want 0 (watermark monotone)", got)
 	}
-	if got := b.DropRoundBelow(0); got != 0 {
-		t.Fatalf("zero round drop released %d", got)
+}
+
+// TestNegativeRoundTrafficCreatesNoInstance: the wire encodes rounds as
+// signed integers, so a Byzantine peer can name a negative round. Such
+// traffic is refused before any state is touched, in the plain and the
+// coded engine alike; the same traffic at round 1 (the control) does grow
+// instances.
+func TestNegativeRoundTrafficCreatesNoInstance(t *testing.T) {
+	spec := quorum.MustNew(4, 1)
+	peers := types.Processes(4)
+	for _, round := range []int{1, -1} {
+		tag := types.Tag{Round: round, Step: types.Step1}
+		id := types.InstanceID{Sender: peers[0], Tag: tag}
+
+		plain := New(peers[1], peers, spec)
+		for _, phase := range []types.Kind{types.KindRBCSend, types.KindRBCEcho, types.KindRBCReady} {
+			for _, p := range peers {
+				plain.Handle(p, &types.RBCPayload{Phase: phase, ID: id, Body: "v"})
+			}
+		}
+
+		coded := NewCoded(peers[1], peers, spec)
+		frags := 0
+		for _, m := range NewCoded(peers[0], peers, spec).Broadcast(tag, "body") {
+			if frag, ok := m.Payload.(*types.RBCFragPayload); ok {
+				coded.HandleFrag(peers[0], frag)
+				frags++
+			}
+		}
+		if frags == 0 {
+			t.Fatalf("round %d: the coded sender dispersed no fragments", round)
+		}
+		for _, p := range peers {
+			coded.HandleSum(p, &types.RBCSumPayload{ID: id, Sum: strings.Repeat("s", sumLen)})
+		}
+
+		if created := plain.Instances() > 0; created != (round > 0) {
+			t.Errorf("round %d: plain instances %d", round, plain.Instances())
+		}
+		if created := coded.Instances() > 0; created != (round > 0) {
+			t.Errorf("round %d: coded instances %d", round, coded.Instances())
+		}
 	}
 }

@@ -92,11 +92,10 @@ type Broadcaster struct {
 	// seed's map[string]map[ProcessID]bool nesting.
 	peerIdx map[types.ProcessID]int32
 	words   int
-	// seqFloor and roundFloor are the protocol-level drop watermarks (see
-	// DropSeqBelow/DropRoundBelow): instances below them hold no state at
-	// all, not even a digest record, and all their traffic is a silent no-op.
-	seqFloor   int
-	roundFloor int
+	// seqFloor is the protocol-level drop watermark (see DropSeqBelow):
+	// instances below it hold no state at all, not even a digest record,
+	// and all their traffic is a silent no-op.
+	seqFloor int
 	// code switches the broadcaster into AVID-style coded dissemination when
 	// non-nil (see coded.go and NewCoded): broadcasts disperse Reed–Solomon
 	// fragments instead of full bodies, and instance state lives in
@@ -459,8 +458,8 @@ const compactedRecordBytes = 40
 // DigestBytes returns the bytes retained by the compact delivered-digest
 // records — the residue windowed pruning deliberately keeps forever, growing
 // one record per terminal instance. A checkpointing owner retires it with
-// DropSeqBelow/DropRoundBelow; without one it is the measurable unbounded
-// remainder on infinite executions (experiment E12).
+// DropSeqBelow; without one it is the measurable unbounded remainder on
+// infinite executions (experiment E12).
 func (b *Broadcaster) DigestBytes() int { return len(b.compacted) * compactedRecordBytes }
 
 // DropSeqBelow releases every instance and delivered-digest record in the
@@ -504,48 +503,14 @@ func (b *Broadcaster) DropSeqBelow(seq int) int {
 	return dropped
 }
 
-// DropRoundBelow is DropSeqBelow for the round-tagged namespace (consensus
-// step instances): it releases every instance and record with Tag.Round
-// below round, under the same checkpoint-certificate obligation, and stops
-// late traffic below the watermark from regrowing state. The consensus core
-// exposes it via Node.ReleaseResidueBelow.
-func (b *Broadcaster) DropRoundBelow(round int) int {
-	if round <= b.roundFloor {
-		return 0
-	}
-	b.roundFloor = round
-	dropped := 0
-	for id := range b.instances {
-		if b.belowRoundFloor(id) {
-			delete(b.instances, id)
-			dropped++
-		}
-	}
-	for id := range b.codedInsts {
-		if b.belowRoundFloor(id) {
-			delete(b.codedInsts, id)
-			dropped++
-		}
-	}
-	for id := range b.compacted {
-		if b.belowRoundFloor(id) {
-			delete(b.compacted, id)
-			dropped++
-		}
-	}
-	return dropped
-}
-
 func (b *Broadcaster) belowSeqFloor(id types.InstanceID) bool {
 	return id.Tag.Round == 0 && id.Tag.Step == 0 && id.Tag.Seq < b.seqFloor
 }
 
-func (b *Broadcaster) belowRoundFloor(id types.InstanceID) bool {
-	return id.Tag.Round != 0 && id.Tag.Round < b.roundFloor
-}
-
-// dropped reports whether the instance lies below a protocol-level drop
-// watermark (checked on every message before any state is touched).
+// dropped reports whether the instance lies below the protocol-level drop
+// watermark or names a negative round — the wire encodes rounds as signed,
+// and no correct process broadcasts in one (checked on every message
+// before any state is touched).
 func (b *Broadcaster) dropped(id types.InstanceID) bool {
-	return b.belowSeqFloor(id) || b.belowRoundFloor(id)
+	return id.Tag.Round < 0 || b.belowSeqFloor(id)
 }

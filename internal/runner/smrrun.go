@@ -23,8 +23,9 @@ import (
 // replica killed mid-run and revived with empty state (sim.Restart), forced
 // to catch up through ckpt state transfer.
 //
-// The harness tails every replica's log per delivery through the LogLen/
-// LogSince accessors (O(new entries), not O(committed slots)), maintaining:
+// The harness observes every replica's commits as they happen, through the
+// smr.Config.OnCommit hook (one call per committed slot, nothing per
+// delivery), maintaining:
 //
 //   - a canonical entry per slot (first observer wins) against which every
 //     other replica's entries are checked — Mismatches counts cross-replica
@@ -32,7 +33,9 @@ import (
 //   - the chained log digest and a shadow state machine for the reference
 //     replica (p1), captured exactly at the Slots boundary — the run-to-run
 //     comparison point that must be bitwise identical whatever the
-//     checkpoint interval, which CI enforces via `bench -smr`.
+//     checkpoint interval, which CI enforces via `bench -smr`. A reference
+//     replica that jumps its frontier (state-transfer install, durable
+//     boot) re-seeds the chain from the certificate at the cut.
 //
 // Replicas run unbounded (MaxSlots 0) and the harness stops the network
 // once every live replica's frontier reached Slots (and, in restart runs,
@@ -265,26 +268,19 @@ type SMRResult struct {
 	Telemetry *sim.Telemetry
 }
 
-// smrObserver tails one replica's log.
+// smrObserver tracks one live replica for the stop condition and the final
+// tallies.
 type smrObserver struct {
 	rep     *smr.Replica
 	wrapper *sim.Restart // non-nil for the victim
-	next    int          // next absolute slot not yet observed
-	gapped  bool         // a truncation or install outran observation
-	revived bool         // the victim's revival was noticed (cursor reset)
 }
 
 // current returns the live replica behind this observer: nil while the
 // victim is down (the pre-crash instance is discarded state, not a replica
 // to read), the fresh instance after revival.
 func (o *smrObserver) current() *smr.Replica {
-	if o.wrapper != nil {
-		if o.wrapper.Down() {
-			return nil
-		}
-		if rep, ok := o.wrapper.Inner().(*smr.Replica); ok {
-			o.rep = rep
-		}
+	if o.wrapper != nil && o.wrapper.Down() {
+		return nil
 	}
 	return o.rep
 }
@@ -327,11 +323,11 @@ func RunSMR(cfg SMRConfig) (*SMRResult, error) {
 	if cfg.Coin == 0 {
 		cfg.Coin = CoinLocal
 	}
+	if cfg.Crashed < 0 || cfg.N-cfg.Crashed < 2 {
+		return nil, fmt.Errorf("%w: %d live replicas", ErrBadConfig, cfg.N-cfg.Crashed)
+	}
 	peers := types.Processes(cfg.N)
 	live := peers[:cfg.N-cfg.Crashed]
-	if len(live) < 2 {
-		return nil, fmt.Errorf("%w: %d live replicas", ErrBadConfig, len(live))
-	}
 	rotation := live
 	var victim types.ProcessID
 	if cfg.Restart != nil {
@@ -444,9 +440,12 @@ func RunSMR(cfg SMRConfig) (*SMRResult, error) {
 	type entryKey struct{ slot, index int }
 	canonical := make(map[entryKey]smr.Entry, cfg.Slots)
 	mismatches := 0
+	// The reference replica's stream: refNext is the next slot it has not
+	// committed, refCount the slots fully folded into its chain, and
+	// refGapped voids the digests (a frontier jump no certificate explains).
+	refNext, refCount, refGapped := 0, 0, false
 	refDigest := ckpt.InitialLogDigest
 	refMachine := smr.NewKVMachine()
-	refCount := 0 // slots fully folded into the reference chain
 	var digestAt, stateAt uint64
 	capture := func() {
 		digestAt = refDigest
@@ -454,88 +453,67 @@ func RunSMR(cfg SMRConfig) (*SMRResult, error) {
 	}
 	victimCommitted := 0
 
-	// drain tails one replica's new entries into the canonical map and the
-	// reference digest chain. Called per delivery and from OnCertified
-	// (pre-truncation), so no entry is released unobserved. A slot's whole
-	// batch commits within one delivery, so ents always holds complete
-	// slots — which is what lets refCount advance per slot below.
-	drain := func(i int) {
-		o := observers[i]
-		if o == nil {
-			return
-		}
-		rep := o.current()
-		if rep == nil {
-			return // victim is down
-		}
-		if o.wrapper != nil && o.wrapper.Restarted() && !o.revived {
-			// Fresh victim: restart the tail from slot 0 so everything it
-			// commits — including slots its pre-crash self already committed
-			// — is checked against the canonical log.
-			o.revived = true
-			o.next = 0
-		}
-		ents := rep.LogSince(o.next)
-		if len(ents) == 0 {
-			if b := rep.Base(); b > o.next {
-				// The replica jumped past slots this observer never saw
-				// (state transfer installed a cut). Expected for the victim;
-				// the reference replica's chain re-seeds from the installed
-				// certificate — its LogDigest is the full-history digest at
-				// the cut and the machine was just restored to the certified
-				// state — and is voided only if no certificate explains the
-				// jump.
-				if i == 0 && !o.gapped && refCount < cfg.Slots {
-					cert, ok := rep.LatestCert()
-					if ok && cert.Slot == b && b <= cfg.Slots &&
-						refMachine.Restore(machines[0].Snapshot()) == nil {
-						refDigest = cert.LogDigest
-						refCount = b
-						if refCount == cfg.Slots {
-							capture()
-						}
-					} else {
-						o.gapped = true
-					}
-				}
-				o.next = b
-			}
-			return
-		}
-		if ents[0].Slot > o.next && i == 0 {
-			o.gapped = true
-		}
-		for idx, e := range ents {
-			k := entryKey{e.Slot, e.Index}
-			if have, ok := canonical[k]; ok {
-				if have != e {
+	// onCommit observes replica i's committed slots: every entry is checked
+	// against the canonical log, the reference replica's slots fold into its
+	// chain, and the revived victim's entries count toward its catch-up.
+	onCommit := func(i int) func(int, []smr.Entry) {
+		return func(slot int, ents []smr.Entry) {
+			for _, e := range ents {
+				k := entryKey{e.Slot, e.Index}
+				if have, ok := canonical[k]; !ok {
+					canonical[k] = e
+				} else if have != e {
 					mismatches++
 				}
-			} else {
-				canonical[k] = e
 			}
-			if i == 0 && !o.gapped && e.Slot >= refCount {
+			if w := observers[i].wrapper; w != nil && w.Restarted() {
+				victimCommitted += len(ents)
+			}
+			if i != 0 {
+				return
+			}
+			if slot > refNext {
+				refGapped = true
+			}
+			refNext = slot + 1
+			if refGapped || slot < refCount {
+				return
+			}
+			for _, e := range ents {
 				refDigest = ckpt.FoldEntry(refDigest, e.Slot, e.Proposer, e.Command)
 				if e.Command != "" && e.Command != smr.Noop {
 					refMachine.Apply(e.Command)
 				}
-				// The slot is fully folded once its last entry is (the next
-				// entry belongs to a later slot, or the tail ends — slots are
-				// complete). Capture the reference digests exactly when the
-				// fold frontier lands on the Slots boundary, before any entry
-				// of a later slot folds in.
-				if idx == len(ents)-1 || ents[idx+1].Slot != e.Slot {
-					refCount = e.Slot + 1
-					if refCount == cfg.Slots {
-						capture()
-					}
-				}
 			}
-			if o.wrapper != nil && o.wrapper.Restarted() {
-				victimCommitted++
+			// Capture the reference digests exactly when the fold frontier
+			// lands on the Slots boundary, before any later slot folds in.
+			refCount = slot + 1
+			if refCount == cfg.Slots {
+				capture()
 			}
 		}
-		o.next = ents[len(ents)-1].Slot + 1
+	}
+	// jump handles the reference replica's frontier jumping to cut past the
+	// slots it committed under observation (a state-transfer install, or a
+	// boot from its durable record): the chain re-seeds from the certificate
+	// at the cut — its LogDigest is the full-history digest there and the
+	// machine was just restored to the certified state — and is voided only
+	// if no certificate explains the jump.
+	jump := func(cut int) {
+		if !refGapped && refCount < cfg.Slots {
+			cert, ok := observers[0].rep.LatestCert()
+			if ok && cert.Slot == cut && cut <= cfg.Slots &&
+				refMachine.Restore(machines[0].Snapshot()) == nil {
+				refDigest = cert.LogDigest
+				refCount = cut
+				if refCount == cfg.Slots {
+					capture()
+				}
+			} else {
+				refGapped = true
+			}
+		}
+		refNext = cut
 	}
 
 	buildCfg := func(i int, p types.ProcessID) smr.Config {
@@ -550,6 +528,7 @@ func RunSMR(cfg SMRConfig) (*SMRResult, error) {
 			Depth:    cfg.Depth,
 			Coded:    cfg.Coded,
 
+			OnCommit:  onCommit(i),
 			Telemetry: tele,
 		}
 		if cfg.Commands > smr.DefaultQueueLimit {
@@ -566,7 +545,9 @@ func RunSMR(cfg SMRConfig) (*SMRResult, error) {
 				rcfg.Store = ckpt.NewStore(filepath.Join(cfg.CkptDir, fmt.Sprintf("replica-%d.ckpt", p)))
 			}
 			rcfg.OnCertified = func(cut int) {
-				drain(i)
+				if i == 0 && cut > refNext {
+					jump(cut)
+				}
 				if cut > cuts[i] {
 					cuts[i] = cut
 					releaseDealers()
@@ -603,7 +584,7 @@ func RunSMR(cfg SMRConfig) (*SMRResult, error) {
 					// replica; a failure here is a harness bug, not input.
 					panic(fmt.Sprintf("runner: building victim %v: %v", p, err))
 				}
-				observers[i].rep = rep
+				observers[i].rep = rep // the initial instance, then the revived one
 				return rep
 			}, cfg.Restart.CrashAfter, cfg.Restart.ReviveAfter)
 			observers[i].wrapper = wrapper
@@ -636,28 +617,16 @@ func RunSMR(cfg SMRConfig) (*SMRResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		o := &smrObserver{rep: rep}
-		observers[i] = o
+		observers[i] = &smrObserver{rep: rep}
 		cmds := commandsFor(p)
 		if b := rep.Base(); b > 0 {
 			// The replica booted from its durable record and resumes at the
-			// cut: the observer tails from there, the reference digest chain
-			// re-seeds from the restored certificate and machine, and the
-			// command queue drops the proposals the pre-crash self already
-			// consumed (so re-proposed slots carry the same commands an
-			// uninterrupted run would).
-			o.next = b
+			// cut: the reference digest chain re-seeds from the restored
+			// certificate and machine, and the command queue drops the
+			// proposals the pre-crash self already consumed (so re-proposed
+			// slots carry the same commands an uninterrupted run would).
 			if i == 0 {
-				if b <= cfg.Slots && refMachine.Restore(machines[0].Snapshot()) == nil {
-					refDigest = rep.LogDigest()
-					refCount = b
-					if refCount == cfg.Slots {
-						digestAt = refDigest
-						stateAt = ckpt.Digest(refMachine.Snapshot())
-					}
-				} else {
-					o.gapped = true
-				}
+				jump(b)
 			}
 			// Each pre-cut proposing turn consumed a full take: one command
 			// unbatched, up to Batch with batching (the harness's short
@@ -694,32 +663,26 @@ func RunSMR(cfg SMRConfig) (*SMRResult, error) {
 		}
 	}
 	stop := func() bool {
-		done := true
-		for i := range observers {
-			drain(i)
-			rep := observers[i].current()
-			if rep == nil || rep.Slot() < cfg.Slots {
-				done = false
+		if victimCommitted < minCommits {
+			return false
+		}
+		for _, o := range observers {
+			if rep := o.current(); rep == nil || rep.Slot() < cfg.Slots {
+				return false
 			}
 		}
-		if cfg.Restart != nil && victimCommitted < minCommits {
-			done = false
-		}
-		return done
+		return true
 	}
 	stats, err := net.Run(stop)
 	if err != nil {
 		return nil, err
-	}
-	for i := range observers {
-		drain(i)
 	}
 
 	res := &SMRResult{
 		Config:      cfg,
 		LogDigest:   digestAt,
 		StateDigest: stateAt,
-		FullStream:  !observers[0].gapped && refCount >= cfg.Slots,
+		FullStream:  !refGapped && refCount >= cfg.Slots,
 		Mismatches:  mismatches,
 		Committed:   make([]int, len(live)),
 		VictimID:    victim,

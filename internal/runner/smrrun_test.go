@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -229,5 +230,10 @@ func TestRunSMRConfigValidation(t *testing.T) {
 	}
 	if _, err := RunSMR(SMRConfig{N: 4, F: 1, Slots: 8, Crashed: 3}); err == nil {
 		t.Error("single live replica accepted")
+	}
+	for _, crashed := range []int{-1, 5} {
+		if _, err := RunSMR(SMRConfig{N: 4, F: 1, Slots: 8, Crashed: crashed}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("Crashed=%d: err %v, want ErrBadConfig", crashed, err)
+		}
 	}
 }

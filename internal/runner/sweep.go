@@ -1,11 +1,5 @@
 package runner
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
 // Sweep executes every configuration concurrently across a worker pool and
 // returns the results in input order. workers <= 0 means GOMAXPROCS.
 //
@@ -17,19 +11,7 @@ import (
 // of the lowest-index failing configuration is returned (again independent
 // of scheduling); results are discarded on error.
 func Sweep(cfgs []Config, workers int) ([]*Result, error) {
-	results := make([]*Result, len(cfgs))
-	err := parallelFor(len(cfgs), workers, func(i int) error {
-		res, err := Run(cfgs[i])
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return sweepAll(len(cfgs), workers, func(i int) (*Result, error) { return Run(cfgs[i]) })
 }
 
 // SweepSeeds runs one configuration across many seeds — the multi-seed
@@ -46,12 +28,15 @@ func SweepSeeds(cfg Config, seeds []int64, workers int) ([]*Result, error) {
 
 // SweepRBC is Sweep for reliable-broadcast experiments (E1, A4).
 func SweepRBC(cfgs []RBCConfig, workers int) ([]*RBCResult, error) {
-	results := make([]*RBCResult, len(cfgs))
-	err := parallelFor(len(cfgs), workers, func(i int) error {
-		res, err := RunRBC(cfgs[i])
-		if err != nil {
-			return err
-		}
+	return sweepAll(len(cfgs), workers, func(i int) (*RBCResult, error) { return RunRBC(cfgs[i]) })
+}
+
+// sweepAll runs every index in [0, n) on the streaming engine and collects
+// the results by index. The error of the lowest-index failing run wins, so
+// the returned error does not depend on which worker ran what.
+func sweepAll[T any](n, workers int, run func(int) (T, error)) ([]T, error) {
+	results := make([]T, n)
+	err := sweepStream(n, workers, run, func(i int, res T) error {
 		results[i] = res
 		return nil
 	})
@@ -59,51 +44,4 @@ func SweepRBC(cfgs []RBCConfig, workers int) ([]*RBCResult, error) {
 		return nil, err
 	}
 	return results, nil
-}
-
-// parallelFor applies fn to every index in [0, n) using a pool of worker
-// goroutines pulling indices from a shared atomic counter. Errors are
-// recorded per index and the lowest-index error wins, so the returned error
-// does not depend on which worker ran what.
-func parallelFor(n, workers int, fn func(i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

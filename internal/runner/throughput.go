@@ -125,8 +125,7 @@ func RunThroughput(cfg ThroughputConfig) ([]*ThroughputPoint, error) {
 		}
 	}
 
-	points := make([]*ThroughputPoint, len(grid))
-	err := parallelFor(len(grid), cfg.Workers, func(i int) error {
+	return sweepAll(len(grid), cfg.Workers, func(i int) (*ThroughputPoint, error) {
 		g := grid[i]
 		slots := (cfg.Entries + g.batch - 1) / g.batch
 		// Preload full batches: each rotation member proposes at most
@@ -149,9 +148,9 @@ func RunThroughput(cfg ThroughputConfig) ([]*ThroughputPoint, error) {
 			Seed:            cfg.Seed,
 		})
 		if err != nil {
-			return fmt.Errorf("throughput point batch=%d depth=%d: %w", g.batch, g.depth, err)
+			return nil, fmt.Errorf("throughput point batch=%d depth=%d: %w", g.batch, g.depth, err)
 		}
-		points[i] = &ThroughputPoint{
+		return &ThroughputPoint{
 			Batch: g.batch, Depth: g.depth,
 			Slots:             slots,
 			Entries:           res.Entries,
@@ -165,11 +164,6 @@ func RunThroughput(cfg ThroughputConfig) ([]*ThroughputPoint, error) {
 			SubmitDropped:     res.SubmitDropped,
 			DuplicateCommands: res.DuplicateCommands,
 			Exhausted:         res.Exhausted,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return points, nil
 }

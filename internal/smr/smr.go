@@ -186,14 +186,22 @@ type Config struct {
 	// falls back to an empty start and network state transfer. Requires
 	// CheckpointEvery > 0.
 	Store *ckpt.Store
+	// OnCommit, when set, is called once per committed slot, in slot
+	// order, with the slot's entries (one, or a whole batch). It fires
+	// after the entries are appended and before the slot's checkpoint vote,
+	// so every entry is seen before any cut can truncate it. entries is a
+	// view of the log, valid only during the call. Slots skipped by a
+	// state-transfer install never commit here and produce no call.
+	OnCommit func(slot int, entries []Entry)
 	// OnCertified, when set, is called each time this replica's highest
 	// certified cut advances, with the release floor (the certified cut
 	// capped at the replica's own frontier). It fires before the pre-cut
-	// log entries are truncated, so a harness tailing the log via LogSince
-	// can drain them first; embedding harnesses also use it to retire
+	// log entries are truncated, so a harness reading the log via LogSince
+	// sees them first; embedding harnesses also use it to retire
 	// cluster-shared per-slot state such as coin.DealerSet entries below
 	// the cut. Cuts installed by state transfer fire it too (with the
-	// installed cut; the log was already empty).
+	// installed cut; the log was already empty), which is how a harness
+	// driven by OnCommit learns that the frontier jumped.
 	OnCertified func(cut int)
 	// Recorder, when enabled, receives protocol events.
 	Recorder *trace.Recorder
@@ -482,17 +490,16 @@ func (r *Replica) QueueLen() int { return len(r.queue) }
 // Log returns the retained committed entries (copy) — the full log without
 // checkpointing, the suffix above the last certified cut with it. It copies
 // the whole retained log on every call and exists for test assertions only;
-// every non-test caller polls through LogLen (O(1) probe) and LogSince
-// (O(new entries) tail reads).
+// a harness that follows commits as they happen uses Config.OnCommit, and
+// one that reads the log afterwards uses LogLen and LogSince.
 func (r *Replica) Log() []Entry { return append([]Entry(nil), r.log...) }
 
 // LogLen returns how many committed entries the replica retains, without
-// copying anything — the O(1) "did anything commit since I looked" probe
-// for per-delivery polling.
+// copying anything.
 func (r *Replica) LogLen() int { return len(r.log) }
 
 // LogSince returns a copy of the retained entries with Slot >= slot. A
-// poller that tracks the next slot it has not seen pays O(new entries) per
+// reader that tracks the next slot it has not seen pays O(new entries) per
 // call instead of Log's O(committed slots). Entries below the retention
 // base (truncated at a certified cut) are gone; LogSince silently starts at
 // the base, which Base() exposes so callers can detect the gap.
@@ -956,8 +963,8 @@ func (r *Replica) afterCertified(out []types.Message, cert ckpt.Certificate) []t
 	if floor > r.slot {
 		floor = r.slot
 	}
-	// The hook fires before truncation, so an embedding harness that tails
-	// the log (LogSince) can drain the entries the cut is about to release.
+	// The hook fires before truncation, so an embedding harness that reads
+	// the log (LogSince) still sees the entries the cut is about to release.
 	if r.cfg.OnCertified != nil {
 		r.cfg.OnCertified(floor)
 	}
@@ -1164,6 +1171,7 @@ func (r *Replica) step(out []types.Message) []types.Message {
 			return out
 		}
 		proposer := r.proposer(r.slot)
+		start := len(r.log)
 		switch body := r.cands[r.slot]; {
 		case v != types.One:
 			// 0-decision: the slot commits empty and nothing is applied.
@@ -1185,6 +1193,9 @@ func (r *Replica) step(out []types.Message) []types.Message {
 			}
 		default:
 			r.commitEntry(Entry{Slot: r.slot, Proposer: proposer, Command: body}, true)
+		}
+		if r.cfg.OnCommit != nil {
+			r.cfg.OnCommit(r.slot, r.log[start:len(r.log):len(r.log)])
 		}
 		// Per-slot pruning, the log layer's version of the per-round
 		// invariant: a slot's candidate, dissemination flag, and RBC

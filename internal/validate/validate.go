@@ -87,11 +87,6 @@ type Validator struct {
 	// contract in the package doc).
 	floor int
 
-	// talliesFloor is the protocol-level release watermark of
-	// ReleaseTalliesBelow: digests below it are gone and messages at or
-	// below it are refused on arrival (checkpoint-certified territory).
-	talliesFloor int
-
 	talliedCount int
 
 	// keyScratch and foldScratch are reused across drain calls so the
@@ -159,9 +154,6 @@ func (v *Validator) Record(sender types.ProcessID, m types.StepMessage) []Accept
 	if !wellFormed(m) {
 		return nil
 	}
-	if m.Round <= v.talliesFloor {
-		return nil // checkpoint-released round: unjudgeable and settled
-	}
 	k := slotKey{sender: sender, round: m.Round, step: m.Step}
 	if v.seen[k] {
 		return nil
@@ -202,43 +194,11 @@ func (v *Validator) SeenRetained() int { return len(v.seen) }
 // JustificationsRetained returns how many per-round justification digests
 // the validator holds — the residue PruneBelow deliberately keeps forever
 // (64 bytes per touched round), growing one digest per round on infinite
-// executions. A checkpointing owner retires it with ReleaseTalliesBelow;
-// without one it is the measurable unbounded remainder (experiment E12).
+// executions: the measurable unbounded remainder of one long-lived
+// instance (experiment E12). The SMR and ACS stacks never build one —
+// each slot or instance runs a fresh consensus node, released whole when
+// it ends.
 func (v *Validator) JustificationsRetained() int { return len(v.rounds) }
-
-// ReleaseTalliesBelow drops the justification digests (and any still-pending
-// messages) of every round below r, returning how many digests it released.
-// The bound becomes a watermark: messages for rounds at or below it are
-// refused on arrival — at, not just below, because a round-r step-1 message
-// is judged against round r−1's digest, which is gone.
-//
-// This is a *protocol-level* release, stronger than the windowing contract:
-// a months-late message for a released round can no longer be judged — it is
-// silently discarded rather than validated against its round's counts. The
-// caller must hold a checkpoint certificate covering the refused rounds — a
-// quorum's statement that their outcome is settled and no justification at
-// or below r will ever matter again (internal/ckpt). A caller whose
-// certificate settles rounds below floor f must therefore pass f−1, keeping
-// round f−1's digest for round f's step-1 adoption checks.
-func (v *Validator) ReleaseTalliesBelow(r int) int {
-	if r <= v.talliesFloor {
-		return 0
-	}
-	v.talliesFloor = r
-	released := 0
-	for round := range v.rounds {
-		if round < r {
-			delete(v.rounds, round)
-			released++
-		}
-	}
-	for k := range v.pending {
-		if k.round <= r {
-			delete(v.pending, k)
-		}
-	}
-	return released
-}
 
 // PruneBelow releases the per-sender dedup entries of every round below r
 // and stops recording new ones there. The justification digests (per-round
