@@ -1,78 +1,47 @@
 // Command bench regenerates every table and figure of the evaluation
-// (EXPERIMENTS.md): E1–E16 plus the ablations A1–A4. Output is aligned text
-// tables by default, CSV with -csv, JSON with -json. Independent runs are
-// fanned across a worker pool (runner.Sweep); -workers 1 forces the old
-// serial behaviour and, by the sweep engine's determinism contract, produces
-// the identical numbers.
+// (EXPERIMENTS.md) and drives the repository's other workloads. A single
+// table, modes, dispatches them; each row names the flag that selects the
+// mode, the flags the mode reads, and the function that runs it:
 //
-// The -sweep mode runs one adversarial property scenario (see -scenarios)
-// across a half-open seed range through the streaming checkpointable engine:
-// constant memory at any depth, periodic checkpoints with -checkpoint, and
-// resumption with -resume. Interrupting a checkpointed sweep (SIGINT) saves
-// a final checkpoint and exits cleanly; rerunning with -resume continues
-// where it stopped and, by the determinism contract, ends byte-identical to
-// an uninterrupted sweep.
+//	(none)          the experiments E1–E16 and ablations A1–A4: -experiment
+//	                -runs -seed -quick -csv -workers
+//	-scenarios      list the property and checkpoint-attack scenarios
+//	-sweep a:b      one property scenario over a half-open seed range
+//	-search family  scheduler-parameter search over a family's lattice
+//	-smr slots      a replicated-log workload (the checkpoint plane)
+//	-throughput k   the batch × pipeline committed-entries grid
+//	-telemetry      per-kind wire metrics and phase histograms per family
+//	-trace file     one traced run: causal JSONL dump and critical paths
 //
-// Every sweep reports its sampled peak heap alongside the violation checks
-// (stderr in -json mode, whose stdout bytes must stay machine-independent).
-// -no-prune disables per-round state pruning in the correct nodes: the sweep
-// numbers are bitwise unchanged — pruning only releases provably dead state —
-// while the peak heap shows the retention difference, making the E11 memory
-// table reproducible straight from the CLI. -window sets the per-round
-// retention window (rounds kept behind the decided frontier: accepted lists,
-// terminal RBC instances, validator seen entries, per-node coin state) and
-// -lowwater the delivery cadence of the cluster low-watermark scans that
-// prune the common-coin dealer's memoized sharings; both are behaviour-
-// neutral — CI diffs the -json aggregates across window sizes and against
-// -no-prune and requires byte equality (see ARCHITECTURE.md for the full
-// memory-lifecycle map).
+// A mode is selected when its flag is set, whatever its value. Two selectors
+// at once, or a set flag the selected row does not list (-json is global),
+// is an error raised before any work starts: a forgotten selector never
+// quietly launches the experiment battery, and no mode pretends to honour a
+// flag it ignores. A negative -f means ⌊(n−1)/3⌋, the optimal resilience.
+//
+// Results are pure functions of the flags, identical at any -workers value
+// (CI diffs them): wall-clock rates go to stderr, and -json records carry no
+// timings or heap samples (E11's heap columns aside). -sweep and -search save their progress with
+// -checkpoint; SIGINT or a -stop-after budget stops them cleanly, and
+// -resume continues to a result byte-identical to an uninterrupted run.
+// -no-prune, -window and -lowwater change only what correct nodes retain,
+// never what they decide (CI diffs the aggregates across them; see
+// ARCHITECTURE.md), and -coded switches dissemination to erasure-coded
+// reliable broadcast, which moves wire bytes but never the digest lines.
 //
 // Examples:
 //
-//	bench                  # everything, full size, all cores
-//	bench -quick           # everything, smoke size (seconds)
-//	bench -experiment E6   # one experiment
-//	bench -runs 100        # more repetitions per configuration
-//	bench -workers 1       # serial (same numbers, slower)
-//	bench -csv > out.csv   # machine-readable output
+//	bench -quick                           # every experiment, smoke size
+//	bench -experiment E6 -runs 100 -csv    # one experiment, machine-readable
 //	bench -quick -json > BENCH_seed.json   # committed baseline snapshot
-//
-//	bench -scenarios                       # list property scenarios
 //	bench -sweep 1:10001 -n 64 -scenario equivocation-rush \
-//	      -checkpoint ck.json              # 10k-seed frontier sweep
-//	bench -sweep 1:10001 -n 64 -scenario equivocation-rush \
-//	      -checkpoint ck.json -resume      # continue after a kill
-//	bench -sweep 1:101 -n 64 -scenario straggler-prune            # pruned …
-//	bench -sweep 1:101 -n 64 -scenario straggler-prune -no-prune  # … vs not
-//
-// The -throughput mode runs the committed-entries grid (runner.RunThroughput):
-// a batch × pipeline-depth sweep over the replicated log, each point sized to
-// commit the target entry count. Stdout (text or -json) carries only
-// deterministic fields — bitwise identical at any -workers value — while the
-// wall-clock entries/sec rate goes to stderr as telemetry:
-//
-//	bench -throughput 64 -n 16                        # default 1,4,16 × 1,2 grid
-//	bench -throughput 64 -n 16 -batch 1,8 -pipeline 2 # explicit axes
-//	bench -throughput 32 -n 4 -json -workers 1        # byte-stable record
-//
-// Both -smr and -throughput accept -coded, switching dissemination to
-// erasure-coded reliable broadcast (AVID-style): the digest lines must stay
-// bitwise identical to the uncoded run — CI diffs them — while the reported
-// wire-bytes drop (that is the whole point; see experiment E14):
-//
+//	      -checkpoint ck.json [-resume]    # 10k-seed frontier sweep
+//	bench -sweep 1:101 -n 64 -scenario straggler-prune -no-prune
+//	bench -search lossy -n 5 -seeds 1:4 -json
 //	bench -smr 64 -n 16 -ckpt-every 8 -coded          # same digests, fewer bytes
-//
-// The -telemetry mode attaches the deterministic telemetry plane to a seed
-// sweep of each scheduler family (uniform, reorder, adaptive-cliff — same
-// adversary/coin/inputs, see experiment E16) and prints the merged per-kind
-// wire metrics and phase-latency histograms. Every output byte is a pure
-// function of the flags: CI diffs -json output across -workers values and
-// GOMAXPROCS settings. The -trace mode runs one traced uniform-schedule run,
-// dumps the causal event stream as JSONL (wire seq + causal parent per
-// event), and prints the decision critical-path analysis (internal/obs):
-//
-//	bench -telemetry -n 16 -runs 5 -json > telemetry.json   # diffable record
-//	bench -trace run.jsonl -n 16 -seed 7                    # dump + critical paths
+//	bench -throughput 64 -n 16 -batch 1,8 -pipeline 2
+//	bench -telemetry -n 16 -runs 5 -json > telemetry.json
+//	bench -trace run.jsonl -n 16 -seed 7
 package main
 
 import (
@@ -84,6 +53,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -104,183 +74,159 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+// flags holds every parsed flag; the run functions read it directly.
+type flags struct {
+	experiment          string
+	runs, workers       int
+	seed                int64
+	quick, csv, json    bool
+	scenarios           bool
+	sweep, scenario     string
+	n, f                int
+	checkpoint          string
+	resume, noPrune     bool
+	every               int
+	stopAfter           int64
+	window, lowWater    int
+	search, seeds       string
+	descend             bool
+	throughput          int
+	batch, pipeline     string
+	telemetry           bool
+	trace               string
+	smr, ckptEvery      int
+	coded, restart      bool
+	ckptDir, ckptAttack string
+}
+
+// newFlagSet binds every bench flag to its field of fl.
+func newFlagSet(fl *flags) *flag.FlagSet {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	var (
-		id      = fs.String("experiment", "", "run a single experiment (E1..E16, A1..A4); empty = all")
-		runs    = fs.Int("runs", 0, "repetitions per configuration (0 = default)")
-		seed    = fs.Int64("seed", 1, "base seed")
-		quick   = fs.Bool("quick", false, "shrink sweeps for a fast smoke run")
-		csv     = fs.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonOut = fs.Bool("json", false, "emit JSON instead of aligned tables")
-		workers = fs.Int("workers", 0, "sweep worker goroutines (0 = all cores, 1 = serial; results identical)")
+	fs.StringVar(&fl.experiment, "experiment", "", "run a single experiment (E1..E16, A1..A4); empty = all")
+	fs.IntVar(&fl.runs, "runs", 0, "repetitions per configuration (0 = default)")
+	fs.Int64Var(&fl.seed, "seed", 1, "base seed")
+	fs.BoolVar(&fl.quick, "quick", false, "shrink sweeps for a fast smoke run")
+	fs.BoolVar(&fl.csv, "csv", false, "emit CSV instead of aligned tables")
+	fs.BoolVar(&fl.json, "json", false, "emit JSON instead of aligned tables")
+	fs.IntVar(&fl.workers, "workers", 0, "sweep worker goroutines (0 = all cores, 1 = serial; results identical)")
 
-		sweep      = fs.String("sweep", "", "streaming property sweep over seed range seedA:seedB (half-open)")
-		sweepN     = fs.Int("n", 16, "-sweep: system size")
-		sweepF     = fs.Int("f", -1, "-sweep: fault bound (negative = ⌊(n−1)/3⌋, the optimal resilience; 0 = fault-free)")
-		scenario   = fs.String("scenario", "equivocation-rush", "-sweep: adversarial scenario (see -scenarios)")
-		listScen   = fs.Bool("scenarios", false, "list the property scenarios and exit")
-		checkpoint = fs.String("checkpoint", "", "-sweep: checkpoint manifest path (periodic + final saves)")
-		resume     = fs.Bool("resume", false, "-sweep: resume from -checkpoint")
-		every      = fs.Int("every", 0, "-sweep: runs between checkpoint writes (0 = default)")
-		stopAfter  = fs.Int64("stop-after", 0, "-sweep: stop after this many runs this invocation, saving a checkpoint (0 = run to completion)")
-		noPrune    = fs.Bool("no-prune", false, "-sweep: disable per-round state pruning in the correct nodes (memory comparison; behaviour-neutral)")
-		window     = fs.Int("window", 0, "-sweep/-smr/-throughput: per-round retention window of the correct nodes (0 = default 1; behaviour-neutral, aggregates identical at any size)")
-		lowWater   = fs.Int("lowwater", 0, "-sweep: deliveries between cluster low-watermark scans pruning the coin dealer (0 = default; behaviour-neutral)")
+	fs.StringVar(&fl.sweep, "sweep", "", "streaming property sweep over seed range seedA:seedB (half-open)")
+	fs.IntVar(&fl.n, "n", 16, "-sweep: system size")
+	fs.IntVar(&fl.f, "f", -1, "-sweep: fault bound (negative = ⌊(n−1)/3⌋, the optimal resilience; 0 = fault-free)")
+	fs.StringVar(&fl.scenario, "scenario", "equivocation-rush", "-sweep: adversarial scenario (see -scenarios)")
+	fs.BoolVar(&fl.scenarios, "scenarios", false, "list the property scenarios and exit")
+	fs.StringVar(&fl.checkpoint, "checkpoint", "", "-sweep: checkpoint manifest path (periodic + final saves)")
+	fs.BoolVar(&fl.resume, "resume", false, "-sweep: resume from -checkpoint")
+	fs.IntVar(&fl.every, "every", 0, "-sweep: runs between checkpoint writes (0 = default)")
+	fs.Int64Var(&fl.stopAfter, "stop-after", 0, "-sweep: stop after this many runs this invocation, saving a checkpoint (0 = run to completion)")
+	fs.BoolVar(&fl.noPrune, "no-prune", false, "-sweep: disable per-round state pruning in the correct nodes (memory comparison; behaviour-neutral)")
+	fs.IntVar(&fl.window, "window", 0, "-sweep/-smr/-throughput: per-round retention window of the correct nodes (0 = default 1; behaviour-neutral, aggregates identical at any size)")
+	fs.IntVar(&fl.lowWater, "lowwater", 0, "-sweep: deliveries between cluster low-watermark scans pruning the coin dealer (0 = default; behaviour-neutral)")
 
-		searchFam = fs.String("search", "", "scheduler-parameter search mode: walk a family's parameter lattice hunting liveness cliffs (see internal/search families)")
-		seedsStr  = fs.String("seeds", "1:9", "-search: seed block seedA:seedB (half-open) every point is scored over")
-		descend   = fs.Bool("descend", false, "-search: coordinate descent instead of the exhaustive grid")
+	fs.StringVar(&fl.search, "search", "", "scheduler-parameter search mode: walk a family's parameter lattice hunting liveness cliffs (see internal/search families)")
+	fs.StringVar(&fl.seeds, "seeds", "1:9", "-search: seed block seedA:seedB (half-open) every point is scored over")
+	fs.BoolVar(&fl.descend, "descend", false, "-search: coordinate descent instead of the exhaustive grid")
 
-		throughput = fs.Int("throughput", 0, "committed-entries throughput mode: entry target per grid point across the -batch × -pipeline grid")
-		batchList  = fs.String("batch", "1,4,16", "-throughput: comma-separated batch sizes (commands per proposal body)")
-		pipeList   = fs.String("pipeline", "1,2", "-throughput: comma-separated dissemination pipeline depths")
+	fs.IntVar(&fl.throughput, "throughput", 0, "committed-entries throughput mode: entry target per grid point across the -batch × -pipeline grid")
+	fs.StringVar(&fl.batch, "batch", "1,4,16", "-throughput: comma-separated batch sizes (commands per proposal body)")
+	fs.StringVar(&fl.pipeline, "pipeline", "1,2", "-throughput: comma-separated dissemination pipeline depths")
 
-		telemetry = fs.Bool("telemetry", false, "telemetry mode: per-kind wire metrics and phase-latency histograms across the scheduler families, merged over a seed sweep (deterministic, diffable)")
-		traceOut  = fs.String("trace", "", "trace mode: run one traced uniform-schedule consensus run, write the causal JSONL event dump to this file, and print the decision critical-path summary")
+	fs.BoolVar(&fl.telemetry, "telemetry", false, "telemetry mode: per-kind wire metrics and phase-latency histograms across the scheduler families, merged over a seed sweep (deterministic, diffable)")
+	fs.StringVar(&fl.trace, "trace", "", "trace mode: run one traced uniform-schedule consensus run, write the causal JSONL event dump to this file, and print the decision critical-path summary")
 
-		smrSlots   = fs.Int("smr", 0, "run a replicated-log workload of this many slots (the checkpoint/state-transfer mode)")
-		coded      = fs.Bool("coded", false, "-smr/-throughput: erasure-coded dissemination (AVID-style coded RBC); committed digests are identical either way, wire bytes drop")
-		ckptEvery  = fs.Int("ckpt-every", 0, "-smr/-throughput: checkpoint cadence in slots (0 = checkpointing off); committed digests are identical either way")
-		restart    = fs.Bool("restart", false, "-smr: kill the last replica mid-run and revive it empty (restart-catchup; requires -ckpt-every)")
-		ckptDir    = fs.String("ckpt-dir", "", "-smr: durable checkpoint store directory (replicas persist and, on a rerun over the same directory, boot from their records; requires -ckpt-every)")
-		ckptAttack = fs.String("ckpt-attack", "", "-smr: checkpoint-plane attack one replica mounts (see -scenarios; requires -ckpt-every); committed digests must match the attack-free run")
-	)
+	fs.IntVar(&fl.smr, "smr", 0, "run a replicated-log workload of this many slots (the checkpoint/state-transfer mode)")
+	fs.BoolVar(&fl.coded, "coded", false, "-smr/-throughput: erasure-coded dissemination (AVID-style coded RBC); committed digests are identical either way, wire bytes drop")
+	fs.IntVar(&fl.ckptEvery, "ckpt-every", 0, "-smr/-throughput: checkpoint cadence in slots (0 = checkpointing off); committed digests are identical either way")
+	fs.BoolVar(&fl.restart, "restart", false, "-smr: kill the last replica mid-run and revive it empty (restart-catchup; requires -ckpt-every)")
+	fs.StringVar(&fl.ckptDir, "ckpt-dir", "", "-smr: durable checkpoint store directory (replicas persist and, on a rerun over the same directory, boot from their records; requires -ckpt-every)")
+	fs.StringVar(&fl.ckptAttack, "ckpt-attack", "", "-smr: checkpoint-plane attack one replica mounts (see -scenarios; requires -ckpt-every); committed digests must match the attack-free run")
+	return fs
+}
+
+// mode is one row of the dispatch table: the flag that selects it ("" for
+// the experiments, the default), the other flags it reads (-json is
+// global), and its run function.
+type mode struct {
+	flag    string
+	accepts string
+	run     func(io.Writer, *flags) error
+}
+
+var modes = []mode{
+	{"", "experiment runs seed quick csv workers", runExperiments},
+	{"scenarios", "", listScenarios},
+	{"sweep", "n f scenario checkpoint resume every stop-after no-prune window lowwater workers", runSweep},
+	{"search", "n f seeds descend checkpoint resume stop-after workers", runSearch},
+	{"smr", "n f seed ckpt-every window restart ckpt-dir ckpt-attack coded", runSMRCmd},
+	{"throughput", "n f seed batch pipeline ckpt-every window workers coded", runThroughputCmd},
+	{"telemetry", "n f seed runs workers", runTelemetryCmd},
+	{"trace", "n f seed", runTraceCmd},
+}
+
+func (m mode) name() string {
+	if m.flag == "" {
+		return "the experiments (select a mode)"
+	}
+	return "-" + m.flag
+}
+
+func run(args []string, out io.Writer) error {
+	var fl flags
+	fs := newFlagSet(&fl)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *jsonOut && *csv {
+	if fl.json && fl.csv {
 		return fmt.Errorf("-json and -csv are mutually exclusive")
 	}
-	if *listScen {
-		return listScenarios(out)
-	}
-	// Reject cross-mode flags instead of silently ignoring them: forgetting
-	// -sweep must not quietly launch the full experiment battery, and sweep
-	// runs must not pretend to honour -seed or -runs.
 	set := map[string]bool{}
-	fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
-	if *sweep != "" && set["smr"] {
-		return fmt.Errorf("-sweep and -smr are mutually exclusive")
+	var names []string // in lexical order, so the first stray flag is named
+	fs.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		names = append(names, f.Name)
+	})
+	m := modes[0]
+	for _, row := range modes[1:] {
+		if !set[row.flag] {
+			continue
+		}
+		if m.flag != "" {
+			return fmt.Errorf("-%s and -%s are mutually exclusive", m.flag, row.flag)
+		}
+		m = row
 	}
-	if set["throughput"] && (*sweep != "" || set["smr"]) {
-		return fmt.Errorf("-throughput is mutually exclusive with -sweep and -smr")
-	}
-	if *searchFam != "" && (*sweep != "" || set["smr"] || set["throughput"]) {
-		return fmt.Errorf("-search is mutually exclusive with -sweep, -smr, and -throughput")
-	}
-	if *telemetry && (*sweep != "" || set["smr"] || set["throughput"] || *searchFam != "" || *traceOut != "") {
-		return fmt.Errorf("-telemetry is mutually exclusive with the other modes")
-	}
-	if *traceOut != "" && (*sweep != "" || set["smr"] || set["throughput"] || *searchFam != "") {
-		return fmt.Errorf("-trace is mutually exclusive with the other modes")
-	}
-	if set["smr"] && *smrSlots <= 0 {
-		return fmt.Errorf("-smr wants a positive slot count, got %d", *smrSlots)
-	}
-	if set["throughput"] && *throughput <= 0 {
-		return fmt.Errorf("-throughput wants a positive entry target, got %d", *throughput)
-	}
-	if *sweep == "" && *smrSlots == 0 && *throughput == 0 && *searchFam == "" && !*telemetry && *traceOut == "" {
-		for _, name := range []string{"n", "f", "scenario", "checkpoint", "resume", "every", "stop-after", "no-prune", "window", "lowwater", "ckpt-every", "restart", "ckpt-dir", "ckpt-attack", "batch", "pipeline", "coded", "seeds", "descend"} {
-			if set[name] {
-				return fmt.Errorf("-%s requires -sweep, -smr, -throughput, -search, -telemetry, or -trace", name)
-			}
+	for _, name := range names {
+		if name != m.flag && name != "json" && !slices.Contains(strings.Fields(m.accepts), name) {
+			return fmt.Errorf("-%s does not apply to %s", name, m.name())
 		}
 	}
-	if *searchFam != "" {
-		for _, name := range []string{"experiment", "runs", "seed", "quick", "csv", "scenario", "every", "no-prune", "window", "lowwater", "ckpt-every", "restart", "ckpt-dir", "ckpt-attack", "batch", "pipeline", "coded"} {
-			if set[name] {
-				return fmt.Errorf("-%s does not apply to -search", name)
-			}
-		}
-		if *stopAfter > 0 && *checkpoint == "" {
-			return fmt.Errorf("-stop-after requires -checkpoint (stopping without one loses all progress)")
-		}
-		return runSearch(out, searchOpts{
-			family: *searchFam, seedsStr: *seedsStr, n: *sweepN, f: *sweepF,
-			descend: *descend, workers: *workers, frontier: *checkpoint,
-			resume: *resume, stopAfter: *stopAfter, jsonOut: *jsonOut,
-		})
-	}
-	if *sweep != "" {
-		for _, name := range []string{"experiment", "runs", "seed", "quick", "csv", "ckpt-every", "restart", "ckpt-dir", "ckpt-attack", "batch", "pipeline", "coded", "seeds", "descend"} {
-			if set[name] {
-				return fmt.Errorf("-%s does not apply to -sweep", name)
-			}
-		}
+	switch {
+	case set["smr"] && fl.smr <= 0:
+		return fmt.Errorf("-smr wants a positive slot count, got %d", fl.smr)
+	case set["throughput"] && fl.throughput <= 0:
+		return fmt.Errorf("-throughput wants a positive entry target, got %d", fl.throughput)
+	case set["sweep"] && fl.sweep == "", set["search"] && fl.search == "", set["trace"] && fl.trace == "":
+		return fmt.Errorf("-%s wants a non-empty value", m.flag)
+	case set["telemetry"] && !fl.telemetry, set["scenarios"] && !fl.scenarios:
+		return fmt.Errorf("-%s=false selects no mode; omit it", m.flag)
+	case fl.stopAfter > 0 && fl.checkpoint == "":
 		// Catch this before hours of work are discarded, not after.
-		if *stopAfter > 0 && *checkpoint == "" {
-			return fmt.Errorf("-stop-after requires -checkpoint (stopping without one loses all progress)")
-		}
-		return runSweep(out, sweepOpts{
-			rangeStr: *sweep, n: *sweepN, f: *sweepF, scenario: *scenario,
-			workers: *workers, checkpoint: *checkpoint, resume: *resume,
-			every: *every, stopAfter: *stopAfter, jsonOut: *jsonOut,
-			noPrune: *noPrune, window: *window, lowWater: *lowWater,
-		})
+		return fmt.Errorf("-stop-after requires -checkpoint (stopping without one loses all progress)")
 	}
-	if *smrSlots > 0 {
-		for _, name := range []string{"experiment", "runs", "quick", "csv", "scenario", "checkpoint", "resume", "every", "stop-after", "no-prune", "lowwater", "workers", "batch", "pipeline", "seeds", "descend"} {
-			if set[name] {
-				return fmt.Errorf("-%s does not apply to -smr", name)
-			}
-		}
-		return runSMRCmd(out, smrOpts{
-			slots: *smrSlots, n: *sweepN, f: *sweepF, seed: *seed,
-			ckptEvery: *ckptEvery, window: *window, restart: *restart,
-			ckptDir: *ckptDir, ckptAttack: *ckptAttack, coded: *coded,
-			jsonOut: *jsonOut,
-		})
+	if fl.f < 0 {
+		fl.f = quorum.MaxByzantine(fl.n)
 	}
-	if *throughput > 0 {
-		for _, name := range []string{"experiment", "runs", "quick", "csv", "scenario", "checkpoint", "resume", "every", "stop-after", "no-prune", "lowwater", "restart", "ckpt-dir", "ckpt-attack", "seeds", "descend"} {
-			if set[name] {
-				return fmt.Errorf("-%s does not apply to -throughput", name)
-			}
-		}
-		batches, err := parseIntList("-batch", *batchList)
-		if err != nil {
-			return err
-		}
-		depths, err := parseIntList("-pipeline", *pipeList)
-		if err != nil {
-			return err
-		}
-		return runThroughputCmd(out, throughputOpts{
-			entries: *throughput, n: *sweepN, f: *sweepF, seed: *seed,
-			batches: batches, depths: depths, ckptEvery: *ckptEvery,
-			window: *window, workers: *workers, coded: *coded,
-			jsonOut: *jsonOut,
-		})
-	}
-	if *telemetry {
-		for _, name := range []string{"experiment", "quick", "csv", "scenario", "checkpoint", "resume", "every", "stop-after", "no-prune", "window", "lowwater", "ckpt-every", "restart", "ckpt-dir", "ckpt-attack", "batch", "pipeline", "coded", "seeds", "descend"} {
-			if set[name] {
-				return fmt.Errorf("-%s does not apply to -telemetry", name)
-			}
-		}
-		return runTelemetryCmd(out, telemetryOpts{
-			n: *sweepN, f: *sweepF, seed: *seed, runs: *runs,
-			workers: *workers, jsonOut: *jsonOut,
-		})
-	}
-	if *traceOut != "" {
-		for _, name := range []string{"experiment", "runs", "workers", "quick", "csv", "scenario", "checkpoint", "resume", "every", "stop-after", "no-prune", "window", "lowwater", "ckpt-every", "restart", "ckpt-dir", "ckpt-attack", "batch", "pipeline", "coded", "seeds", "descend"} {
-			if set[name] {
-				return fmt.Errorf("-%s does not apply to -trace", name)
-			}
-		}
-		return runTraceCmd(out, traceOpts{
-			path: *traceOut, n: *sweepN, f: *sweepF, seed: *seed,
-			jsonOut: *jsonOut,
-		})
-	}
-	opts := experiments.Options{Runs: *runs, Seed: *seed, Quick: *quick, Workers: *workers}
+	return m.run(out, &fl)
+}
+
+// runExperiments runs the experiment battery (or the one -experiment names)
+// and renders each table as aligned text, CSV or JSON.
+func runExperiments(out io.Writer, fl *flags) error {
+	opts := experiments.Options{Runs: fl.runs, Seed: fl.seed, Quick: fl.quick, Workers: fl.workers}
 
 	var list []experiments.Experiment
-	if *id != "" {
-		e, err := experiments.ByID(*id)
+	if fl.experiment != "" {
+		e, err := experiments.ByID(fl.experiment)
 		if err != nil {
 			return err
 		}
@@ -307,18 +253,18 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		switch {
-		case *jsonOut:
+		case fl.json:
 			jsonTables = append(jsonTables, jsonTable{
 				ID: e.ID, Title: e.Title, Table: tbl.Title,
 				Headers: tbl.Headers, Rows: tbl.Rows(),
 			})
-		case *csv:
+		case fl.csv:
 			fmt.Fprintf(out, "# %s: %s\n%s\n", e.ID, e.Title, tbl.CSV())
 		default:
 			fmt.Fprintf(out, "%s\n(%s in %v)\n\n", tbl.Render(), e.ID, time.Since(start).Round(time.Millisecond))
 		}
 	}
-	if *jsonOut {
+	if fl.json {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		return enc.Encode(jsonTables)
@@ -326,53 +272,36 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// smrOpts carries the -smr flag bundle.
-type smrOpts struct {
-	slots, n, f int
-	seed        int64
-	ckptEvery   int
-	window      int
-	restart     bool
-	ckptDir     string
-	ckptAttack  string
-	coded       bool
-	jsonOut     bool
-}
-
 // runSMRCmd executes one replicated-log workload (the checkpoint mode). The
 // "digest" lines are the byte-stable comparison surface: CI runs the same
 // workload with -ckpt-every on and off and diffs them — checkpointing must
 // move memory, never what commits.
-func runSMRCmd(out io.Writer, o smrOpts) error {
-	f := o.f
-	if f < 0 {
-		f = quorum.MaxByzantine(o.n)
-	}
+func runSMRCmd(out io.Writer, fl *flags) error {
 	cfg := runner.SMRConfig{
-		N: o.n, F: f,
-		Slots:           o.slots,
+		N: fl.n, F: fl.f,
+		Slots:           fl.smr,
 		Commands:        8,
-		CheckpointEvery: o.ckptEvery,
-		Window:          o.window,
+		CheckpointEvery: fl.ckptEvery,
+		Window:          fl.window,
 		Coin:            runner.CoinCommon,
-		Seed:            o.seed,
-		CkptDir:         o.ckptDir,
-		Coded:           o.coded,
+		Seed:            fl.seed,
+		CkptDir:         fl.ckptDir,
+		Coded:           fl.coded,
 	}
-	if o.restart {
-		if o.ckptEvery <= 0 {
+	if fl.restart {
+		if fl.ckptEvery <= 0 {
 			return fmt.Errorf("-restart requires -ckpt-every (a restarted replica can only catch up via state transfer)")
 		}
-		cfg.Restart = &runner.SMRRestart{CrashAfter: 80 * o.n, ReviveAfter: 160 * o.n}
+		cfg.Restart = &runner.SMRRestart{CrashAfter: 80 * fl.n, ReviveAfter: 160 * fl.n}
 	}
-	if o.ckptDir != "" && o.ckptEvery <= 0 {
+	if fl.ckptDir != "" && fl.ckptEvery <= 0 {
 		return fmt.Errorf("-ckpt-dir requires -ckpt-every (there is nothing to persist without checkpoints)")
 	}
-	if o.ckptAttack != "" {
-		if o.ckptEvery <= 0 {
+	if fl.ckptAttack != "" {
+		if fl.ckptEvery <= 0 {
 			return fmt.Errorf("-ckpt-attack requires -ckpt-every (the attacks target the checkpoint plane)")
 		}
-		attack, err := adversary.ParseCkptAttack(o.ckptAttack)
+		attack, err := adversary.ParseCkptAttack(fl.ckptAttack)
 		if err != nil {
 			return err
 		}
@@ -391,7 +320,7 @@ func runSMRCmd(out io.Writer, o smrOpts) error {
 	case !res.FullStream:
 		return fmt.Errorf("smr workload: reference entry stream gapped; digests void")
 	}
-	if o.jsonOut {
+	if fl.json {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		return enc.Encode(struct {
@@ -419,47 +348,35 @@ func runSMRCmd(out io.Writer, o smrOpts) error {
 			Spoofed     int    `json:"spoofed"`
 			Coded       bool   `json:"coded"`
 			WireBytes   int64  `json:"wireBytes"`
-		}{o.n, f, o.slots, o.seed, o.ckptEvery,
+		}{fl.n, fl.f, fl.smr, fl.seed, fl.ckptEvery,
 			fmt.Sprintf("%016x", res.LogDigest), fmt.Sprintf("%016x", res.StateDigest),
 			res.CertifiedCut, res.LogRetained, res.RBCRecords, res.RBCDigestBytes,
 			res.DealerSlots, res.Transfers, res.VictimCommitted,
 			res.RestoredCuts, res.StoreErrors, res.TransferRetries,
 			res.StaleResponses, res.UnverifiableResponses, res.Deliveries,
 			res.Dropped, res.Spoofed,
-			o.coded, res.WireBytes})
+			fl.coded, res.WireBytes})
 	}
 	fmt.Fprintf(out, "smr workload: n=%d f=%d slots=%d seed=%d ckpt-every=%d window=%d restart=%v coded=%v\n",
-		o.n, f, o.slots, o.seed, o.ckptEvery, o.window, o.restart, o.coded)
-	fmt.Fprintf(out, "digest log @%d:   %016x\n", o.slots, res.LogDigest)
-	fmt.Fprintf(out, "digest state @%d: %016x\n", o.slots, res.StateDigest)
+		fl.n, fl.f, fl.smr, fl.seed, fl.ckptEvery, fl.window, fl.restart, fl.coded)
+	fmt.Fprintf(out, "digest log @%d:   %016x\n", fl.smr, res.LogDigest)
+	fmt.Fprintf(out, "digest state @%d: %016x\n", fl.smr, res.StateDigest)
 	fmt.Fprintf(out, "residue: log-retained=%d rbc-records=%d rbc-bytes=%d dealer-slots=%d dealer-rounds=%d certified-cut=%d\n",
 		res.LogRetained, res.RBCRecords, res.RBCDigestBytes, res.DealerSlots, res.DealerRounds, res.CertifiedCut)
-	if o.restart {
+	if fl.restart {
 		fmt.Fprintf(out, "victim: transfers=%d base=%d committed=%d frontier=%d\n",
 			res.Transfers, res.VictimBase, res.VictimCommitted, res.VictimSlot)
 	}
-	if o.ckptDir != "" {
+	if fl.ckptDir != "" {
 		fmt.Fprintf(out, "store: restored-cuts=%d store-errors=%d\n", res.RestoredCuts, res.StoreErrors)
 	}
-	if o.ckptAttack != "" {
+	if fl.ckptAttack != "" {
 		fmt.Fprintf(out, "attack %s: installs=%d retries=%d stale=%d unverifiable=%d\n",
-			o.ckptAttack, res.TotalInstalls, res.TransferRetries, res.StaleResponses, res.UnverifiableResponses)
+			fl.ckptAttack, res.TotalInstalls, res.TransferRetries, res.StaleResponses, res.UnverifiableResponses)
 	}
 	fmt.Fprintf(out, "deliveries=%d messages=%d wire-bytes=%d dropped=%d spoofed=%d\n",
 		res.Deliveries, res.Messages, res.WireBytes, res.Dropped, res.Spoofed)
 	return nil
-}
-
-// throughputOpts carries the -throughput flag bundle.
-type throughputOpts struct {
-	entries, n, f   int
-	seed            int64
-	batches, depths []int
-	ckptEvery       int
-	window          int
-	workers         int
-	coded           bool
-	jsonOut         bool
 }
 
 // parseIntList parses a comma-separated list of positive integers (the
@@ -485,23 +402,27 @@ func parseIntList(name, s string) ([]int, error) {
 // bitwise identical at any -workers value, which is exactly what CI diffs.
 // The wall-clock rate is telemetry and goes to stderr, where it cannot
 // contaminate the byte-stable comparison surface.
-func runThroughputCmd(out io.Writer, o throughputOpts) error {
-	f := o.f
-	if f < 0 {
-		f = quorum.MaxByzantine(o.n)
+func runThroughputCmd(out io.Writer, fl *flags) error {
+	batches, err := parseIntList("-batch", fl.batch)
+	if err != nil {
+		return err
+	}
+	depths, err := parseIntList("-pipeline", fl.pipeline)
+	if err != nil {
+		return err
 	}
 	start := time.Now()
 	points, err := runner.RunThroughput(runner.ThroughputConfig{
-		N: o.n, F: f,
-		Entries:         o.entries,
-		Batches:         o.batches,
-		Depths:          o.depths,
-		CheckpointEvery: o.ckptEvery,
-		Window:          o.window,
+		N: fl.n, F: fl.f,
+		Entries:         fl.throughput,
+		Batches:         batches,
+		Depths:          depths,
+		CheckpointEvery: fl.ckptEvery,
+		Window:          fl.window,
 		Coin:            runner.CoinCommon,
-		Coded:           o.coded,
-		Seed:            o.seed,
-		Workers:         o.workers,
+		Coded:           fl.coded,
+		Seed:            fl.seed,
+		Workers:         fl.workers,
 	})
 	if err != nil {
 		return err
@@ -520,7 +441,7 @@ func runThroughputCmd(out io.Writer, o throughputOpts) error {
 	}
 	fmt.Fprintf(os.Stderr, "bench: throughput grid of %d points committed %d entries in %v wall (%.0f entries/sec; telemetry, not comparable)\n",
 		len(points), total, wall.Round(time.Millisecond), float64(total)/wall.Seconds())
-	if o.jsonOut {
+	if fl.json {
 		type pointJSON struct {
 			Batch       int    `json:"batch"`
 			Depth       int    `json:"depth"`
@@ -552,9 +473,9 @@ func runThroughputCmd(out io.Writer, o throughputOpts) error {
 			CkptEvery int         `json:"ckptEvery"`
 			Coded     bool        `json:"coded"`
 			Points    []pointJSON `json:"points"`
-		}{o.n, f, o.entries, o.seed, o.ckptEvery, o.coded, rows})
+		}{fl.n, fl.f, fl.throughput, fl.seed, fl.ckptEvery, fl.coded, rows})
 	}
-	fmt.Fprintf(out, "throughput: n=%d f=%d entries=%d seed=%d ckpt-every=%d coded=%v\n", o.n, f, o.entries, o.seed, o.ckptEvery, o.coded)
+	fmt.Fprintf(out, "throughput: n=%d f=%d entries=%d seed=%d ckpt-every=%d coded=%v\n", fl.n, fl.f, fl.throughput, fl.seed, fl.ckptEvery, fl.coded)
 	fmt.Fprintf(out, "%-6s %-6s %-7s %-8s %-11s %-14s %-13s %-12s %s\n",
 		"batch", "depth", "slots", "entries", "deliveries", "ent/kdeliv", "virtual-time", "wire-bytes", "log digest")
 	for _, p := range points {
@@ -567,7 +488,7 @@ func runThroughputCmd(out io.Writer, o throughputOpts) error {
 
 // listScenarios prints the property-scenario battery and the
 // checkpoint-adversary battery (the -ckpt-attack names).
-func listScenarios(out io.Writer) error {
+func listScenarios(out io.Writer, _ *flags) error {
 	for _, sc := range runner.Scenarios() {
 		kind := "consensus"
 		if sc.RBC {
@@ -580,22 +501,6 @@ func listScenarios(out io.Writer) error {
 			sc.Name, "ckpt", sc.Attack, sc.Sched)
 	}
 	return nil
-}
-
-// sweepOpts carries the -sweep flag bundle.
-type sweepOpts struct {
-	rangeStr   string
-	n, f       int
-	scenario   string
-	workers    int
-	checkpoint string
-	resume     bool
-	every      int
-	stopAfter  int64
-	jsonOut    bool
-	noPrune    bool
-	window     int
-	lowWater   int
 }
 
 // parseSeedRange parses "a:b" into the half-open range [a, b); name labels
@@ -620,39 +525,41 @@ func parseSeedRange(name, s string) (runner.SeedRange, error) {
 	return r, nil
 }
 
-// runSweep executes one streaming property sweep.
-func runSweep(out io.Writer, o sweepOpts) error {
-	seeds, err := parseSeedRange("-sweep", o.rangeStr)
-	if err != nil {
-		return err
-	}
-	sc, err := runner.ScenarioByName(o.scenario)
-	if err != nil {
-		return err
-	}
-	f := o.f
-	if f < 0 {
-		f = quorum.MaxByzantine(o.n)
-	}
-
-	// SIGINT stops at the next completed run, saving a checkpoint; a -stop-
-	// after budget does the same after a fixed number of runs (CI smoke).
+// stopper returns the Stop hook of a resumable walk (-sweep runs, -search
+// points): it fires on SIGINT, or once budget units have completed (0 = no
+// budget, the -stop-after CI smoke), so the walk saves its checkpoint and
+// returns. release unhooks the signal.
+func stopper(budget int64) (stop func() bool, release func()) {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt)
-	defer signal.Stop(sigc)
-	remaining := o.stopAfter
-	stop := func() bool {
+	remaining := budget
+	return func() bool {
 		select {
 		case <-sigc:
 			return true
 		default:
 		}
-		if o.stopAfter > 0 {
+		if budget > 0 {
 			remaining--
 			return remaining <= 0
 		}
 		return false
+	}, func() { signal.Stop(sigc) }
+}
+
+// runSweep executes one streaming property sweep.
+func runSweep(out io.Writer, fl *flags) error {
+	seeds, err := parseSeedRange("-sweep", fl.sweep)
+	if err != nil {
+		return err
 	}
+	sc, err := runner.ScenarioByName(fl.scenario)
+	if err != nil {
+		return err
+	}
+
+	stop, release := stopper(fl.stopAfter)
+	defer release()
 
 	// Peak-heap tracking: sampled every few hundred completed runs plus
 	// once at the end, so the E11 memory claim (pruned vs unpruned, see
@@ -668,25 +575,25 @@ func runSweep(out io.Writer, o sweepOpts) error {
 		}
 	}
 	spec := runner.PropertySpec{
-		N: o.n, F: f, Scenario: sc, Seeds: seeds,
-		Workers: o.workers, Checkpoint: o.checkpoint,
-		Every: o.every, Resume: o.resume, Stop: stop,
-		DisablePruning:    o.noPrune,
-		Window:            o.window,
-		LowWatermarkEvery: o.lowWater,
+		N: fl.n, F: fl.f, Scenario: sc, Seeds: seeds,
+		Workers: fl.workers, Checkpoint: fl.checkpoint,
+		Every: fl.every, Resume: fl.resume, Stop: stop,
+		DisablePruning:    fl.noPrune,
+		Window:            fl.window,
+		LowWatermarkEvery: fl.lowWater,
 		Progress: func(done, total int64) {
 			if done%256 == 0 {
 				sampleHeap()
 			}
 			if done%1000 == 0 {
-				fmt.Fprintf(os.Stderr, "bench: sweep %s n=%d: %d/%d\n", sc.Name, o.n, done, total)
+				fmt.Fprintf(os.Stderr, "bench: sweep %s n=%d: %d/%d\n", sc.Name, fl.n, done, total)
 			}
 		},
 	}
 	agg, err := runner.PropertySweep(spec)
 	sampleHeap()
 	pruning := "on"
-	if o.noPrune {
+	if fl.noPrune {
 		pruning = "off"
 	}
 	heapLine := fmt.Sprintf("peak heap: %.2f MiB (runtime.ReadMemStats, sampled; pruning %s)", float64(peakHeap)/(1<<20), pruning)
@@ -694,17 +601,17 @@ func runSweep(out io.Writer, o sweepOpts) error {
 	if err != nil && !stopped {
 		return err
 	}
-	if stopped && o.checkpoint == "" {
+	if stopped && fl.checkpoint == "" {
 		return fmt.Errorf("sweep stopped after %d runs with no -checkpoint; progress lost", agg.Runs)
 	}
 
 	switch {
-	case o.jsonOut:
+	case fl.json:
 		if stopped {
 			// Keep stdout parseable: structured stop record there, the
 			// human notice on stderr.
 			fmt.Fprintf(os.Stderr, "bench: sweep stopped after %d/%d runs; checkpoint saved to %s — rerun with -resume to continue\n",
-				agg.Runs, seeds.Len(), o.checkpoint)
+				agg.Runs, seeds.Len(), fl.checkpoint)
 		}
 		// Heap numbers vary run to run; keep them off the byte-stable JSON.
 		fmt.Fprintln(os.Stderr, "bench: "+heapLine)
@@ -719,14 +626,14 @@ func runSweep(out io.Writer, o sweepOpts) error {
 			Completed  int64             `json:"completed,omitempty"`
 			Checkpoint string            `json:"checkpoint,omitempty"`
 			Aggregate  *runner.Aggregate `json:"aggregate"`
-		}{sc.Name, o.n, f, seeds, stopped, stoppedAt(stopped, agg), stoppedCk(stopped, o.checkpoint), agg}); err != nil {
+		}{sc.Name, fl.n, fl.f, seeds, stopped, stoppedAt(stopped, agg), stoppedCk(stopped, fl.checkpoint), agg}); err != nil {
 			return err
 		}
 	case stopped:
 		fmt.Fprintf(out, "sweep stopped after %d/%d runs (checks so far: %s); checkpoint saved to %s — rerun with -resume to continue\n%s\n",
-			agg.Runs, seeds.Len(), agg.Checks.String(), o.checkpoint, heapLine)
+			agg.Runs, seeds.Len(), agg.Checks.String(), fl.checkpoint, heapLine)
 	default:
-		title := fmt.Sprintf("sweep %s: n=%d f=%d seeds %v", sc.Name, o.n, f, seeds)
+		title := fmt.Sprintf("sweep %s: n=%d f=%d seeds %v", sc.Name, fl.n, fl.f, seeds)
 		fmt.Fprintf(out, "%schecks: %s\n%s\n", agg.Table(title).Render(), agg.Checks.String(), heapLine)
 	}
 	// Violations are never waived, whether the sweep completed or was
@@ -737,65 +644,33 @@ func runSweep(out io.Writer, o sweepOpts) error {
 	return nil
 }
 
-// searchOpts carries the -search flag bundle.
-type searchOpts struct {
-	family    string
-	seedsStr  string
-	n, f      int
-	descend   bool
-	workers   int
-	frontier  string
-	resume    bool
-	stopAfter int64
-	jsonOut   bool
-}
-
 // runSearch executes one scheduler-parameter search (internal/search).
 // Stdout — text or JSON — is a pure function of (family, n, f, seeds):
 // bitwise identical at any -workers value and across kill/resume points,
 // which is exactly what the CI determinism smoke diffs.
-func runSearch(out io.Writer, o searchOpts) error {
-	seeds, err := parseSeedRange("-seeds", o.seedsStr)
+func runSearch(out io.Writer, fl *flags) error {
+	seeds, err := parseSeedRange("-seeds", fl.seeds)
 	if err != nil {
 		return err
 	}
-	spec, err := search.FamilySpec(o.family, o.n, o.f, seeds)
+	spec, err := search.FamilySpec(fl.search, fl.n, fl.f, seeds)
 	if err != nil {
 		return err
 	}
-	f := o.f
-	if f < 0 {
-		f = quorum.MaxByzantine(o.n)
-	}
-	spec.Workers = o.workers
-	spec.Frontier = o.frontier
-	spec.Resume = o.resume
+	spec.Workers = fl.workers
+	spec.Frontier = fl.checkpoint
+	spec.Resume = fl.resume
 
-	// SIGINT stops at the next completed point, saving the frontier; a
-	// -stop-after budget does the same after a fixed number of points.
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt)
-	defer signal.Stop(sigc)
-	remaining := o.stopAfter
-	spec.Stop = func() bool {
-		select {
-		case <-sigc:
-			return true
-		default:
-		}
-		if o.stopAfter > 0 {
-			remaining--
-			return remaining <= 0
-		}
-		return false
-	}
+	stop, release := stopper(fl.stopAfter)
+	defer release()
+	spec.Stop = stop
 	spec.Progress = func(done, total int) {
-		fmt.Fprintf(os.Stderr, "bench: search %s n=%d: point %d/%d\n", o.family, o.n, done, total)
+		fmt.Fprintf(os.Stderr, "bench: search %s n=%d: point %d/%d\n", fl.search, fl.n, done, total)
 	}
 
 	walk := search.Grid
 	mode := "grid"
-	if o.descend {
+	if fl.descend {
 		walk = search.Descend
 		mode = "descend"
 	}
@@ -804,15 +679,15 @@ func runSearch(out io.Writer, o searchOpts) error {
 	if err != nil && !stopped {
 		return err
 	}
-	if stopped && o.frontier == "" {
+	if stopped && fl.checkpoint == "" {
 		return fmt.Errorf("search stopped after %d points with no -checkpoint; progress lost", len(res.Points))
 	}
 	if stopped {
 		fmt.Fprintf(os.Stderr, "bench: search stopped after %d points; frontier saved to %s — rerun with -resume to continue\n",
-			len(res.Points), o.frontier)
+			len(res.Points), fl.checkpoint)
 	}
 
-	if o.jsonOut {
+	if fl.json {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(struct {
@@ -824,15 +699,15 @@ func runSearch(out io.Writer, o searchOpts) error {
 			Stopped bool                 `json:"stopped,omitempty"`
 			Points  []search.PointResult `json:"points"`
 			Best    search.PointResult   `json:"best"`
-		}{o.family, mode, o.n, f, seeds, stopped, res.Points, res.Best}); err != nil {
+		}{fl.search, mode, fl.n, fl.f, seeds, stopped, res.Points, res.Best}); err != nil {
 			return err
 		}
 	} else {
 		fmt.Fprintf(out, "search %s (%s): n=%d f=%d seeds %v — %s\n",
-			o.family, mode, o.n, f, seeds, search.FamilyDoc(o.family))
+			fl.search, mode, fl.n, fl.f, seeds, search.FamilyDoc(fl.search))
 		if stopped {
 			fmt.Fprintf(out, "stopped after %d points; frontier saved to %s — rerun with -resume to continue\n",
-				len(res.Points), o.frontier)
+				len(res.Points), fl.checkpoint)
 		}
 		fmt.Fprintf(out, "%-4s %-40s %-10s %-10s %-11s %-12s %-10s %s\n",
 			"rank", "point", "undecided", "exhausted", "violations", "mean rounds", "mean time", "score")
@@ -869,14 +744,6 @@ func stoppedCk(stopped bool, checkpoint string) string {
 	return checkpoint
 }
 
-// telemetryOpts carries the -telemetry flag bundle.
-type telemetryOpts struct {
-	n, f, runs int
-	seed       int64
-	workers    int
-	jsonOut    bool
-}
-
 // runTelemetryCmd executes the telemetry mode: every scheduler family of the
 // E16 comparison (uniform, reorder, adaptive-cliff — same adversary, coin,
 // and inputs throughout) swept over a seed block with the telemetry plane
@@ -884,9 +751,9 @@ type telemetryOpts struct {
 // deterministic — a pure function of (flags, seed), bitwise identical at any
 // -workers value and any GOMAXPROCS, which is exactly what the CI telemetry
 // determinism smoke diffs.
-func runTelemetryCmd(out io.Writer, o telemetryOpts) error {
-	if o.runs <= 0 {
-		o.runs = 5
+func runTelemetryCmd(out io.Writer, fl *flags) error {
+	if fl.runs <= 0 {
+		fl.runs = 5
 	}
 	type familyRecord struct {
 		Family     string     `json:"family"`
@@ -904,19 +771,17 @@ func runTelemetryCmd(out io.Writer, o telemetryOpts) error {
 	}
 	var records []familyRecord
 	for _, fam := range experiments.TelemetryFamilies() {
-		cfgs := make([]runner.Config, o.runs)
+		cfgs := make([]runner.Config, fl.runs)
 		for i := range cfgs {
-			cfgs[i] = experiments.TelemetryConfig(fam, o.n, o.seed+int64(i))
-			if o.f >= 0 {
-				cfgs[i].F = o.f
-			}
+			cfgs[i] = experiments.TelemetryConfig(fam, fl.n, fl.seed+int64(i))
+			cfgs[i].F = fl.f
 		}
-		results, err := runner.Sweep(cfgs, o.workers)
+		results, err := runner.Sweep(cfgs, fl.workers)
 		if err != nil {
 			return fmt.Errorf("telemetry family %s: %w", fam.Name, err)
 		}
 		merged := sim.NewTelemetry()
-		rec := familyRecord{Family: fam.Name, N: o.n, F: cfgs[0].F, Runs: o.runs, Seed: o.seed}
+		rec := familyRecord{Family: fam.Name, N: fl.n, F: fl.f, Runs: fl.runs, Seed: fl.seed}
 		var roundSum float64
 		for _, r := range results {
 			if len(r.Violations) > 0 {
@@ -934,7 +799,7 @@ func runTelemetryCmd(out io.Writer, o telemetryOpts) error {
 		rec.Telemetry = merged.Report()
 		records = append(records, rec)
 	}
-	if o.jsonOut {
+	if fl.json {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		return enc.Encode(records)
@@ -956,14 +821,6 @@ func runTelemetryCmd(out io.Writer, o telemetryOpts) error {
 	return nil
 }
 
-// traceOpts carries the -trace flag bundle.
-type traceOpts struct {
-	path    string
-	n, f    int
-	seed    int64
-	jsonOut bool
-}
-
 // runTraceCmd executes the trace mode: one traced uniform-schedule run of the
 // telemetry comparison's base configuration, its causal event stream dumped
 // as JSONL (one event per line: time, kind, process, wire seq, causal parent
@@ -971,12 +828,10 @@ type traceOpts struct {
 // decision critical-path analysis printed to stdout. Both the file and
 // stdout are deterministic: two runs of the same flags produce byte-identical
 // dumps, which the CI trace smoke diffs.
-func runTraceCmd(out io.Writer, o traceOpts) error {
+func runTraceCmd(out io.Writer, fl *flags) error {
 	fams := experiments.TelemetryFamilies()
-	cfg := experiments.TelemetryConfig(fams[0], o.n, o.seed) // uniform schedule
-	if o.f >= 0 {
-		cfg.F = o.f
-	}
+	cfg := experiments.TelemetryConfig(fams[0], fl.n, fl.seed) // uniform schedule
+	cfg.F = fl.f
 	cfg.Telemetry = false
 	cfg.Trace = true
 	res, err := runner.Run(cfg)
@@ -986,7 +841,7 @@ func runTraceCmd(out io.Writer, o traceOpts) error {
 	if len(res.Violations) > 0 {
 		return fmt.Errorf("trace run: %d property violations", len(res.Violations))
 	}
-	f, err := os.Create(o.path)
+	f, err := os.Create(fl.trace)
 	if err != nil {
 		return err
 	}
@@ -998,13 +853,13 @@ func runTraceCmd(out io.Writer, o traceOpts) error {
 		return err
 	}
 	report := obs.Analyze(res.Recorder.Events())
-	if o.jsonOut {
+	if fl.json {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		return enc.Encode(report)
 	}
 	fmt.Fprintf(out, "trace: n=%d f=%d seed=%d events=%d -> %s\n",
-		cfg.N, cfg.F, o.seed, len(res.Recorder.Events()), o.path)
+		cfg.N, cfg.F, fl.seed, len(res.Recorder.Events()), fl.trace)
 	fmt.Fprint(out, report.String())
 	return nil
 }

@@ -2,7 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -257,14 +259,15 @@ func TestRunSMRJSON(t *testing.T) {
 // TestRunSMRBadFlags: cross-mode and dependent-flag rejection.
 func TestRunSMRBadFlags(t *testing.T) {
 	cases := [][]string{
-		{"-smr", "32", "-sweep", "1:5"},        // mutually exclusive modes
-		{"-smr", "32", "-experiment", "E1"},    // experiment knob in smr mode
-		{"-smr", "32", "-quick"},               // experiment knob in smr mode
-		{"-smr", "32", "-scenario", "reorder"}, // sweep knob in smr mode
-		{"-smr", "32", "-no-prune"},            // sweep knob in smr mode
-		{"-smr", "32", "-restart"},             // restart without -ckpt-every
-		{"-ckpt-every", "8"},                   // forgot -smr
-		{"-restart"},                           // forgot -smr
+		{"-smr", "32", "-sweep", "1:5"},           // mutually exclusive modes
+		{"-smr", "32", "-experiment", "E1"},       // experiment knob in smr mode
+		{"-smr", "32", "-quick"},                  // experiment knob in smr mode
+		{"-smr", "32", "-scenario", "reorder"},    // sweep knob in smr mode
+		{"-smr", "32", "-no-prune"},               // sweep knob in smr mode
+		{"-smr", "32", "-restart"},                // restart without -ckpt-every
+		{"-smr", "4", "-n", "4", "-window", "-3"}, // negative window: an error, not a mid-run panic
+		{"-ckpt-every", "8"},                      // forgot -smr
+		{"-restart"},                              // forgot -smr
 	}
 	for _, args := range cases {
 		var sb strings.Builder
@@ -337,16 +340,17 @@ func TestRunThroughputJSONWorkerIndependent(t *testing.T) {
 // TestRunThroughputBadFlags: cross-mode and malformed-axis rejection.
 func TestRunThroughputBadFlags(t *testing.T) {
 	cases := [][]string{
-		{"-throughput", "16", "-sweep", "1:5"},        // mutually exclusive modes
-		{"-throughput", "16", "-smr", "32"},           // mutually exclusive modes
-		{"-throughput", "16", "-quick"},               // experiment knob
-		{"-throughput", "16", "-scenario", "reorder"}, // sweep knob
-		{"-throughput", "16", "-restart"},             // smr knob
-		{"-throughput", "0"},                          // non-positive target
-		{"-throughput", "16", "-batch", "1,0"},        // non-positive axis value
-		{"-throughput", "16", "-pipeline", "x"},       // malformed axis
-		{"-batch", "4"},                               // forgot the mode
-		{"-pipeline", "2"},                            // forgot the mode
+		{"-throughput", "16", "-sweep", "1:5"},           // mutually exclusive modes
+		{"-throughput", "16", "-smr", "32"},              // mutually exclusive modes
+		{"-throughput", "16", "-quick"},                  // experiment knob
+		{"-throughput", "16", "-scenario", "reorder"},    // sweep knob
+		{"-throughput", "16", "-restart"},                // smr knob
+		{"-throughput", "0"},                             // non-positive target
+		{"-throughput", "16", "-batch", "1,0"},           // non-positive axis value
+		{"-throughput", "16", "-pipeline", "x"},          // malformed axis
+		{"-throughput", "4", "-n", "4", "-window", "-3"}, // negative window
+		{"-batch", "4"},                                  // forgot the mode
+		{"-pipeline", "2"},                               // forgot the mode
 	}
 	for _, args := range cases {
 		var sb strings.Builder
@@ -394,61 +398,93 @@ func TestRunSearchResumeIdentical(t *testing.T) {
 	}
 }
 
-// TestRunModeFlagMatrix: cross-mode flag rejection over the full mode ×
-// foreign-flag matrix. Every mode must reject the other modes' selector and
-// their private knobs instead of silently ignoring them.
+// benchFlags gives every bench flag a valid value, so a pair's rejection can
+// only come from the flag matrix.
+func benchFlags(dir string) map[string][]string {
+	return map[string][]string{
+		"experiment": {"-experiment", "E1"}, "runs": {"-runs", "2"}, "seed": {"-seed", "3"},
+		"quick": {"-quick"}, "csv": {"-csv"}, "json": {"-json"}, "workers": {"-workers", "2"},
+		"sweep": {"-sweep", "1:5"}, "n": {"-n", "4"}, "f": {"-f", "1"},
+		"scenario": {"-scenario", "reorder"}, "scenarios": {"-scenarios"},
+		"checkpoint": {"-checkpoint", filepath.Join(dir, "ck.json")}, "resume": {"-resume"},
+		"every": {"-every", "2"}, "stop-after": {"-stop-after", "2"}, "no-prune": {"-no-prune"},
+		"window": {"-window", "2"}, "lowwater": {"-lowwater", "64"},
+		"search": {"-search", "adaptive"}, "seeds": {"-seeds", "1:3"}, "descend": {"-descend"},
+		"throughput": {"-throughput", "16"}, "batch": {"-batch", "1,2"}, "pipeline": {"-pipeline", "1"},
+		"telemetry": {"-telemetry"}, "trace": {"-trace", filepath.Join(dir, "out.jsonl")},
+		"smr": {"-smr", "16"}, "coded": {"-coded"}, "ckpt-every": {"-ckpt-every", "8"},
+		"restart": {"-restart"}, "ckpt-dir": {"-ckpt-dir", filepath.Join(dir, "store")},
+		"ckpt-attack": {"-ckpt-attack", "stale-responder"},
+	}
+}
+
+// rejects lists, per mode ("" is the experiments, selected by no flag), the
+// flags it refuses besides the other modes' selectors.
+var rejects = map[string]string{
+	"":           "n f scenario checkpoint resume every stop-after no-prune window lowwater ckpt-every restart ckpt-dir ckpt-attack batch pipeline coded seeds descend",
+	"search":     "experiment runs seed quick csv scenario every no-prune window lowwater ckpt-every restart ckpt-dir ckpt-attack batch pipeline coded",
+	"sweep":      "experiment runs seed quick csv ckpt-every restart ckpt-dir ckpt-attack batch pipeline coded seeds descend",
+	"smr":        "experiment runs quick csv scenario checkpoint resume every stop-after no-prune lowwater workers batch pipeline seeds descend",
+	"throughput": "experiment runs quick csv scenario checkpoint resume every stop-after no-prune lowwater restart ckpt-dir ckpt-attack seeds descend",
+	"telemetry":  "experiment quick csv scenario checkpoint resume every stop-after no-prune window lowwater ckpt-every restart ckpt-dir ckpt-attack batch pipeline coded seeds descend",
+	"trace":      "experiment runs workers quick csv scenario checkpoint resume every stop-after no-prune window lowwater ckpt-every restart ckpt-dir ckpt-attack batch pipeline coded seeds descend",
+}
+
+// TestRunModeFlagMatrix pins the full mode × flag matrix: every rejected
+// pair errors (before any work starts), every other pair is in the mode's
+// table row, and -json is accepted everywhere. -scenarios accepts no other
+// flag.
 func TestRunModeFlagMatrix(t *testing.T) {
-	modes := map[string][]string{
-		"sweep":      {"-sweep", "1:5"},
-		"smr":        {"-smr", "16"},
-		"throughput": {"-throughput", "16"},
-		"search":     {"-search", "adaptive"},
-		"telemetry":  {"-telemetry"},
-		"trace":      {"-trace", "out.jsonl"},
+	vals := benchFlags(t.TempDir())
+	var fl flags
+	newFlagSet(&fl).VisitAll(func(f *flag.Flag) {
+		if _, ok := vals[f.Name]; !ok {
+			t.Errorf("flag -%s has no matrix entry", f.Name)
+		}
+	})
+	if len(vals) != 33 {
+		t.Errorf("matrix names %d flags, want 33", len(vals))
 	}
-	// A representative private knob of each mode, foreign to all others.
-	foreign := map[string][]string{
-		"sweep":      {"-no-prune"},
-		"smr":        {"-restart"},
-		"throughput": {"-batch", "1,2"},
-		"search":     {"-descend"},
+	selectors := map[string]bool{}
+	for _, m := range modes {
+		selectors[m.flag] = true
 	}
-	for mode, sel := range modes {
-		// Pairwise mode exclusivity.
-		for other, osel := range modes {
-			if other == mode {
+	if len(modes) != len(rejects)+1 {
+		t.Fatalf("%d table rows, want the %d hand-kept modes plus -scenarios", len(modes), len(rejects))
+	}
+	for _, m := range modes {
+		rejected := map[string]bool{}
+		for _, name := range strings.Fields(rejects[m.flag]) {
+			rejected[name] = true
+		}
+		var want []string
+		for name := range vals {
+			if name == m.flag || name == "json" || m.flag == "" && selectors[name] {
+				continue // its own selector, the global -json, or another mode
+			}
+			if m.flag != "scenarios" && !selectors[name] && !rejected[name] {
+				want = append(want, name)
 				continue
 			}
-			args := append(append([]string{}, sel...), osel...)
+			args := append(append([]string{}, vals[m.flag]...), vals[name]...)
 			var sb strings.Builder
 			if err := run(args, &sb); err == nil {
-				t.Errorf("%s+%s: args %v accepted", mode, other, args)
+				t.Errorf("%s: args %v accepted", m.name(), args)
 			}
 		}
-		// Foreign private knobs rejected.
-		for other, knob := range foreign {
-			if other == mode {
-				continue
-			}
-			args := append(append([]string{}, sel...), knob...)
-			var sb strings.Builder
-			if err := run(args, &sb); err == nil {
-				t.Errorf("%s with %s knob: args %v accepted", mode, other, args)
-			}
+		got := strings.Fields(m.accepts)
+		sort.Strings(want)
+		sort.Strings(got)
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%s accepts %v, want %v", m.name(), got, want)
 		}
-		// Every private knob without its mode must not launch the battery.
-		for _, knob := range foreign[mode] {
-			if !strings.HasPrefix(knob, "-") {
-				continue
-			}
-			args := []string{knob}
-			if knob == "-batch" {
-				args = []string{"-batch", "1,2"}
-			}
-			var sb strings.Builder
-			if err := run(args, &sb); err == nil {
-				t.Errorf("bare %s: args %v accepted", knob, args)
-			}
+	}
+	// A selector counts when set, whatever its value: an empty one must not
+	// fall through to the experiments.
+	for _, args := range [][]string{{"-sweep", ""}, {"-search", ""}, {"-trace", ""}, {"-telemetry=false"}} {
+		var sb strings.Builder
+		if err := run(args, &sb); err == nil {
+			t.Errorf("args %v accepted", args)
 		}
 	}
 }

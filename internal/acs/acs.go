@@ -117,6 +117,7 @@ type Node struct {
 var (
 	ErrNoCoinFactory = errors.New("acs: config requires NewCoin")
 	ErrBadPeers      = errors.New("acs: peers must include me and match spec size")
+	ErrBadWindow     = errors.New("acs: negative retention window")
 )
 
 // New creates an ACS node.
@@ -136,6 +137,11 @@ func New(cfg Config) (*Node, error) {
 	}
 	if !found {
 		return nil, fmt.Errorf("%w: %v not in peers", ErrBadPeers, cfg.Me)
+	}
+	// core.New would refuse it only when the first binary instance starts,
+	// mid-run, where a config error cannot surface.
+	if cfg.Window < 0 {
+		return nil, fmt.Errorf("%w: %d", ErrBadWindow, cfg.Window)
 	}
 	n := cfg.Spec.N()
 	newRBC := rbc.New

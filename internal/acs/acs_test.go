@@ -189,6 +189,7 @@ func TestACSConfigValidation(t *testing.T) {
 		{"missing factory", func(c *Config) { c.NewCoin = nil }, ErrNoCoinFactory},
 		{"wrong peers", func(c *Config) { c.Peers = peers[:2] }, ErrBadPeers},
 		{"me absent", func(c *Config) { c.Me = 9 }, ErrBadPeers},
+		{"negative window", func(c *Config) { c.Window = -1 }, ErrBadWindow},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -57,17 +57,16 @@ func TelemetryConfig(fam TelemetryFamily, n int, seed int64) runner.Config {
 // histograms, protocol phase histograms), merges the per-run sinks in index
 // order — bitwise worker-count independent, since the integer merge is
 // exactly associative and commutative — and adds one traced run whose
-// decision critical paths (internal/obs) attribute decision time to wire
-// versus handler ("think") hops.
+// decision critical paths (internal/obs) attribute decision time to the
+// hops that carried it.
 //
 // The shape to verify: "reorder" and "adaptive-cliff" run the identical
 // adversary, coin, and inputs, yet the cliff costs strictly more rounds.
 // The phase columns say why — the adaptive schedule stretches the
 // round-decide phase (it lags exactly the traffic the frontier process
 // needs) while the per-hop wire latencies stay comparable; chaos alone
-// (reorder) barely moves either. The wire-share column shows decisions are
-// wire-dominated in every family: the protocol thinks for free and waits
-// for quorums.
+// (reorder) barely moves either. Handlers run in zero sim time, so every
+// decision is all wire: the protocol waits for quorums, never for itself.
 //
 // Columns:
 //
@@ -79,10 +78,8 @@ func TelemetryConfig(fam TelemetryFamily, n int, seed int64) runner.Config {
 //     ticks, over every decision of every run;
 //   - deliver p99: queue-to-delivery wire latency across all kinds;
 //   - hops: mean critical-path length of the traced run's decisions;
-//   - crit t: mean decision time on those critical paths, in sim ticks.
-//     (The wire/think decomposition the paths also carry is degenerate
-//     here by construction — handlers execute in zero sim time, so wire
-//     is 100% of every path; obs's tests pin the identity.)
+//   - crit t: mean decision time on those critical paths, in sim ticks
+//     (the sum of their hops' wire times; obs's tests pin the identity).
 func E16Telemetry(o Options) (*metrics.Table, error) {
 	o = Defaults(o)
 	t := metrics.NewTable(
@@ -126,7 +123,7 @@ func E16Telemetry(o Options) (*metrics.Table, error) {
 		}
 		decide := &merged.Phases[sim.PhaseRoundDecide]
 
-		// One traced run attributes decision time to wire vs think hops.
+		// One traced run attributes decision time to its critical paths.
 		tcfg := TelemetryConfig(fam, n, o.Seed)
 		tcfg.Telemetry = false
 		tcfg.Trace = true

@@ -2,21 +2,15 @@
 // (trace.Event.Seq/Parent, stamped by the simulator) backward from each
 // decision to recover the decision's critical path — the unique chain of
 // message deliveries that actually triggered it — and attributes the
-// decision time to wire latency and handler ("think") time, broken down by
-// payload kind.
+// decision time to its hops' wire latency, broken down by payload kind.
 //
 // The chain is exact, not heuristic: the simulator is single-threaded, so
 // every event recorded while a delivery's handler runs is causally due to
-// that delivery, and each event has exactly one parent. A decision at time T
-// therefore decomposes as
-//
-//	T = Σ wire(hop) + Σ think(hop)
-//
-// over its chain: each hop's wire time is delivery time minus send time, and
-// its think time is the gap between the previous hop's delivery and this
-// hop's send (the handler work — quorum counting, validation — that led the
-// process to emit it). The root hop's think time is its send time (emitted
-// during Start at t = 0). That identity is pinned by the package tests.
+// that delivery, and each event has exactly one parent. Each hop's wire time
+// is its delivery time minus its send time. Handlers run in zero sim time
+// and root hops are sent during Start at t = 0, so an untruncated chain's
+// wire times sum to the decision time: T = Σ wire(hop). The package tests
+// pin that identity.
 //
 // This is the longest causal chain by construction: any other causal
 // ancestor path of the decision ends at a delivery that did NOT trip the
@@ -43,15 +37,13 @@ type Hop struct {
 	SentAt      int64           `json:"sent_at"`
 	DeliveredAt int64           `json:"delivered_at"`
 	Wire        int64           `json:"wire"`
-	Think       int64           `json:"think"`
 }
 
 // KindShare is one payload kind's share of a critical path.
 type KindShare struct {
-	Kind  string `json:"kind"`
-	Hops  int    `json:"hops"`
-	Wire  int64  `json:"wire"`
-	Think int64  `json:"think"`
+	Kind string `json:"kind"`
+	Hops int    `json:"hops"`
+	Wire int64  `json:"wire"`
 }
 
 // Decision is one process's decision and its reconstructed critical path.
@@ -62,10 +54,9 @@ type Decision struct {
 	At    int64           `json:"at"`
 	Hops  int             `json:"hops"`
 	Wire  int64           `json:"wire"`
-	Think int64           `json:"think"`
 	// Truncated reports that the walk stopped at a hop whose parent events
-	// were not in the trace (recorder limit reached): Wire/Think then cover
-	// only the recovered suffix and need not sum to At.
+	// were not in the trace (recorder limit reached): Wire then covers only
+	// the recovered suffix and need not equal At.
 	Truncated bool        `json:"truncated,omitempty"`
 	ByKind    []KindShare `json:"by_kind"`
 	Path      []Hop       `json:"path"`
@@ -147,19 +138,11 @@ func walk(decide trace.Event, events []trace.Event, sendBySeq, deliverBySeq map[
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
-	// Think time: gap between the previous hop's delivery (0 for the root)
-	// and this hop's send.
-	prevDelivered := int64(0)
-	for i := range rev {
-		rev[i].Think = rev[i].SentAt - prevDelivered
-		prevDelivered = rev[i].DeliveredAt
-	}
 	d.Path = rev
 	d.Hops = len(rev)
 	shares := make(map[string]*KindShare)
 	for _, h := range rev {
 		d.Wire += h.Wire
-		d.Think += h.Think
 		s, ok := shares[h.Kind]
 		if !ok {
 			s = &KindShare{Kind: h.Kind}
@@ -167,7 +150,6 @@ func walk(decide trace.Event, events []trace.Event, sendBySeq, deliverBySeq map[
 		}
 		s.Hops++
 		s.Wire += h.Wire
-		s.Think += h.Think
 	}
 	for _, s := range shares {
 		d.ByKind = append(d.ByKind, *s)
@@ -197,7 +179,6 @@ func (r Report) Totals() []KindShare {
 			}
 			s.Hops += ks.Hops
 			s.Wire += ks.Wire
-			s.Think += ks.Think
 		}
 	}
 	out := make([]KindShare, 0, len(shares))
@@ -230,13 +211,13 @@ func (r Report) String() string {
 		if d.Truncated {
 			trunc = " (truncated)"
 		}
-		fmt.Fprintf(&b, "%v decided %v in round %d at t=%d: %d hops, wire=%d think=%d%s\n",
-			d.P, d.V, d.Round, d.At, d.Hops, d.Wire, d.Think, trunc)
+		fmt.Fprintf(&b, "%v decided %v in round %d at t=%d: %d hops, wire=%d%s\n",
+			d.P, d.V, d.Round, d.At, d.Hops, d.Wire, trunc)
 	}
 	if totals := r.Totals(); len(totals) > 0 {
 		b.WriteString("critical-path attribution by kind:\n")
 		for _, s := range totals {
-			fmt.Fprintf(&b, "  %-10s hops=%-5d wire=%-8d think=%d\n", s.Kind, s.Hops, s.Wire, s.Think)
+			fmt.Fprintf(&b, "  %-10s hops=%-5d wire=%d\n", s.Kind, s.Hops, s.Wire)
 		}
 	}
 	return b.String()

@@ -2,8 +2,8 @@ package obs_test
 
 // Critical-path tests: a hand-built trace with known timings pins the exact
 // decomposition, and a real traced consensus run pins the structural
-// invariants (every decision reconstructs to a chain whose wire + think
-// times sum to the decision time).
+// invariants (every decision reconstructs to a chain whose wire times sum to
+// the decision time).
 
 import (
 	"testing"
@@ -14,44 +14,42 @@ import (
 	"repro/internal/types"
 )
 
-// TestAnalyzeSyntheticChain: a three-event causal chain decomposes exactly.
+// TestAnalyzeSyntheticChain: a two-hop causal chain decomposes exactly. As
+// in the simulator, handlers take no sim time, so the wire times sum to the
+// decision time.
 //
 //	t=0  p1 sends seq 1 (Start)          wire 5
-//	t=5  p2 delivers seq 1, thinks 2
-//	t=7  p2 sends seq 2 (parent 1)       wire 4
-//	t=11 p1 delivers seq 2, decides
+//	t=5  p2 delivers seq 1 and sends seq 2 (parent 1)   wire 4
+//	t=9  p1 delivers seq 2, decides
 func TestAnalyzeSyntheticChain(t *testing.T) {
 	pay := &types.DecidePayload{V: types.One}
 	events := []trace.Event{
 		{Time: 0, Kind: trace.KindSend, P: 1, Seq: 1, Msg: types.Message{From: 1, To: 2, Payload: pay}},
 		{Time: 5, Kind: trace.KindDeliver, P: 2, Seq: 1, Msg: types.Message{From: 1, To: 2, Payload: pay}},
-		{Time: 7, Kind: trace.KindSend, P: 2, Seq: 2, Parent: 1, Msg: types.Message{From: 2, To: 1, Payload: pay}},
-		{Time: 11, Kind: trace.KindDeliver, P: 1, Seq: 2, Msg: types.Message{From: 2, To: 1, Payload: pay}},
-		{Time: 11, Kind: trace.KindDecide, P: 1, Parent: 2, V: types.One, Round: 1},
+		{Time: 5, Kind: trace.KindSend, P: 2, Seq: 2, Parent: 1, Msg: types.Message{From: 2, To: 1, Payload: pay}},
+		{Time: 9, Kind: trace.KindDeliver, P: 1, Seq: 2, Msg: types.Message{From: 2, To: 1, Payload: pay}},
+		{Time: 0, Kind: trace.KindDecide, P: 1, Parent: 2, V: types.One, Round: 1},
 	}
 	r := obs.Analyze(events)
 	if len(r.Decisions) != 1 {
 		t.Fatalf("decisions = %d, want 1", len(r.Decisions))
 	}
 	d := r.Decisions[0]
-	if d.P != 1 || d.V != types.One || d.At != 11 || d.Truncated {
+	if d.P != 1 || d.V != types.One || d.At != 9 || d.Truncated {
 		t.Fatalf("decision = %+v", d)
 	}
 	if d.Hops != 2 {
 		t.Fatalf("hops = %d, want 2", d.Hops)
 	}
-	if d.Wire != 9 || d.Think != 2 {
-		t.Fatalf("wire/think = %d/%d, want 9/2", d.Wire, d.Think)
-	}
-	if d.Wire+d.Think != d.At {
-		t.Fatalf("wire+think = %d, want decision time %d", d.Wire+d.Think, d.At)
+	if d.Wire != d.At {
+		t.Fatalf("wire = %d, want decision time %d", d.Wire, d.At)
 	}
 	// Causal order: root hop first.
 	if d.Path[0].Seq != 1 || d.Path[1].Seq != 2 {
 		t.Fatalf("path order = %d,%d, want 1,2", d.Path[0].Seq, d.Path[1].Seq)
 	}
-	if d.Path[0].Think != 0 || d.Path[1].Think != 2 {
-		t.Fatalf("think per hop = %d,%d, want 0,2", d.Path[0].Think, d.Path[1].Think)
+	if d.Path[0].Wire != 5 || d.Path[1].Wire != 4 {
+		t.Fatalf("wire per hop = %d,%d, want 5,4", d.Path[0].Wire, d.Path[1].Wire)
 	}
 	if len(d.ByKind) != 1 || d.ByKind[0].Kind != "DECIDE" || d.ByKind[0].Hops != 2 {
 		t.Fatalf("by-kind = %+v", d.ByKind)
@@ -71,8 +69,8 @@ func TestAnalyzeTruncatedChain(t *testing.T) {
 }
 
 // TestAnalyzeRealRun: every decision of a traced Bracha run reconstructs to
-// a non-trivial chain satisfying the wire+think identity, ending at a
-// Start-emitted root.
+// a non-trivial chain from a Start-emitted root whose wire times sum to the
+// decision time.
 func TestAnalyzeRealRun(t *testing.T) {
 	res, err := runner.Run(runner.Config{
 		N: 4, F: 1,
@@ -98,12 +96,11 @@ func TestAnalyzeRealRun(t *testing.T) {
 		if d.Hops == 0 {
 			t.Fatalf("%v: empty critical path", d.P)
 		}
-		if d.Wire+d.Think != d.At {
-			t.Fatalf("%v: wire %d + think %d != decision time %d", d.P, d.Wire, d.Think, d.At)
+		if d.Wire != d.At {
+			t.Fatalf("%v: wire %d != decision time %d", d.P, d.Wire, d.At)
 		}
-		if root := d.Path[0]; root.SentAt != root.Think {
-			// The root hop's think time is its send time by definition.
-			t.Fatalf("%v: root think %d != root send time %d", d.P, root.Think, root.SentAt)
+		if root := d.Path[0]; root.SentAt != 0 {
+			t.Fatalf("%v: root hop sent at t=%d, not during Start", d.P, root.SentAt)
 		}
 	}
 	if r.MeanDecisionTime() <= 0 {

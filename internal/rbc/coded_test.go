@@ -54,13 +54,13 @@ func (c *cluster) pumpAll() {
 
 func TestCodedDataShards(t *testing.T) {
 	tests := []struct{ n, f, want int }{
-		{4, 1, 2},   // optimal: n−2f = f+1 = 2
-		{7, 2, 3},   // optimal: 3
-		{16, 5, 6},  // optimal: 6
-		{3, 0, 1},   // f=0: Echo()−f = ⌈(n+1)/2⌉ = 2 < n−2f = 3? Echo(3,0)=2 ⇒ min(3,2)=2
-		{1, 0, 1},   // singleton
-		{6, 1, 3},   // n=3f+3: Echo()=4, Echo()−f=3 < n−2f=4 ⇒ 3
-		{5, 1, 3},   // n=3f+2: Echo()=4, Echo()−f=3 = n−2f=3
+		{4, 1, 2},  // optimal: n−2f = f+1 = 2
+		{7, 2, 3},  // optimal: 3
+		{16, 5, 6}, // optimal: 6
+		{3, 0, 1},  // f=0: Echo()−f = ⌈(n+1)/2⌉ = 2 < n−2f = 3? Echo(3,0)=2 ⇒ min(3,2)=2
+		{1, 0, 1},  // singleton
+		{6, 1, 3},  // n=3f+3: Echo()=4, Echo()−f=3 < n−2f=4 ⇒ 3
+		{5, 1, 3},  // n=3f+2: Echo()=4, Echo()−f=3 = n−2f=3
 	}
 	for _, tt := range tests {
 		spec := quorum.MustNew(tt.n, tt.f)

@@ -194,7 +194,7 @@ func (c *Code) Reconstruct(indices []int, shards [][]byte, bodyLen int) ([]byte,
 		if d*shardLen >= bodyLen {
 			break
 		}
-		dst := body[d*shardLen:min((d+1)*shardLen, bodyLen)]
+		dst := body[d*shardLen : min((d+1)*shardLen, bodyLen)]
 		if dataAt[d] != nil {
 			copy(dst, dataAt[d])
 			continue

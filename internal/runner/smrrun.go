@@ -294,8 +294,8 @@ func RunSMR(cfg SMRConfig) (*SMRResult, error) {
 	if cfg.Slots <= 0 {
 		return nil, fmt.Errorf("%w: SMR run needs Slots > 0", ErrBadConfig)
 	}
-	if cfg.Batch < 0 || cfg.Depth < 0 {
-		return nil, fmt.Errorf("%w: negative batch (%d) or pipeline depth (%d)", ErrBadConfig, cfg.Batch, cfg.Depth)
+	if cfg.Batch < 0 || cfg.Depth < 0 || cfg.Window < 0 {
+		return nil, fmt.Errorf("%w: negative batch (%d), pipeline depth (%d) or window (%d)", ErrBadConfig, cfg.Batch, cfg.Depth, cfg.Window)
 	}
 	if cfg.CommandBytes < 0 || cfg.CommandBytes > wire.MaxBatchBytes {
 		return nil, fmt.Errorf("%w: CommandBytes %d outside [0, %d]", ErrBadConfig, cfg.CommandBytes, wire.MaxBatchBytes)

@@ -231,6 +231,9 @@ func TestRunSMRConfigValidation(t *testing.T) {
 	if _, err := RunSMR(SMRConfig{N: 4, F: 1, Slots: 8, Crashed: 3}); err == nil {
 		t.Error("single live replica accepted")
 	}
+	if _, err := RunSMR(SMRConfig{N: 4, F: 1, Slots: 8, Window: -3}); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("Window=-3: err %v, want ErrBadConfig", err)
+	}
 	for _, crashed := range []int{-1, 5} {
 		if _, err := RunSMR(SMRConfig{N: 4, F: 1, Slots: 8, Crashed: crashed}); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("Crashed=%d: err %v, want ErrBadConfig", crashed, err)

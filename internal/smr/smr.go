@@ -281,6 +281,7 @@ var (
 	ErrNoSnapshotter = errors.New("smr: checkpointing requires a Snapshotter machine")
 	ErrNoCkptSecret  = errors.New("smr: checkpointing requires a cluster secret")
 	ErrStoreNoCkpt   = errors.New("smr: a durable store requires checkpointing")
+	ErrBadWindow     = errors.New("smr: negative retention window")
 )
 
 // New creates a replica.
@@ -303,6 +304,11 @@ func New(cfg Config) (*Replica, error) {
 	}
 	if !found {
 		return nil, fmt.Errorf("%w: %v not in peers", ErrBadPeers, cfg.Me)
+	}
+	// core.New would refuse it only when the first slot starts, mid-run,
+	// where a config error cannot surface.
+	if cfg.Window < 0 {
+		return nil, fmt.Errorf("%w: %d", ErrBadWindow, cfg.Window)
 	}
 	if len(cfg.Rotation) == 0 {
 		cfg.Rotation = cfg.Peers

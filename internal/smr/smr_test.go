@@ -186,6 +186,7 @@ func TestSMRConfigValidation(t *testing.T) {
 		{"no machine", func(c *Config) { c.Machine = nil }, ErrNoMachine},
 		{"bad peers", func(c *Config) { c.Peers = peers[:1] }, ErrBadPeers},
 		{"me absent", func(c *Config) { c.Me = 99 }, ErrBadPeers},
+		{"negative window", func(c *Config) { c.Window = -1 }, ErrBadWindow},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
