@@ -84,6 +84,8 @@ type Equivocator struct {
 	Me    types.ProcessID
 	Peers []types.ProcessID
 
+	sim.OutBuffer
+
 	acted map[types.Tag]bool
 	fed   map[types.InstanceID]bool
 }
@@ -97,7 +99,7 @@ func (e *Equivocator) ID() types.ProcessID { return e.Me }
 func (e *Equivocator) Start() []types.Message {
 	e.acted = make(map[types.Tag]bool)
 	e.fed = make(map[types.InstanceID]bool)
-	return e.equivocateSlot(types.Tag{Round: 1, Step: types.Step1})
+	return e.equivocateSlot(e.Take(), types.Tag{Round: 1, Step: types.Step1})
 }
 
 // Deliver implements sim.Node.
@@ -106,9 +108,8 @@ func (e *Equivocator) Deliver(m types.Message) []types.Message {
 	if !ok {
 		return nil
 	}
-	var out []types.Message
 	// Join every slot other processes are active in, equivocating.
-	out = append(out, e.equivocateSlot(p.ID.Tag)...)
+	out := e.equivocateSlot(e.Take(), p.ID.Tag)
 	// Fan both possible bodies of this instance as ECHO and READY, once.
 	if !e.fed[p.ID] && p.ID.Sender != e.Me {
 		e.fed[p.ID] = true
@@ -119,7 +120,7 @@ func (e *Equivocator) Deliver(m types.Message) []types.Message {
 			}
 			for _, phase := range []types.Kind{types.KindRBCEcho, types.KindRBCReady} {
 				pl := &types.RBCPayload{Phase: phase, ID: p.ID, Body: body}
-				out = append(out, types.Broadcast(e.Me, e.Peers, pl)...)
+				out = types.AppendBroadcast(out, e.Me, e.Peers, pl)
 			}
 		}
 	}
@@ -130,14 +131,15 @@ func (e *Equivocator) Deliver(m types.Message) []types.Message {
 func (e *Equivocator) Done() bool { return false }
 
 // equivocateSlot opens this process's own RBC instance for a slot with
-// conflicting SENDs: 0 to the first half of the peers, 1 to the rest.
-func (e *Equivocator) equivocateSlot(tag types.Tag) []types.Message {
+// conflicting SENDs, 0 to the first half of the peers and 1 to the rest,
+// appending them to out.
+func (e *Equivocator) equivocateSlot(out []types.Message, tag types.Tag) []types.Message {
 	if e.acted[tag] || !tag.Step.Valid() || tag.Round < 1 {
-		return nil
+		return out
 	}
 	e.acted[tag] = true
 	id := types.InstanceID{Sender: e.Me, Tag: tag}
-	var out []types.Message
+	start := len(out)
 	half := len(e.Peers) / 2
 	for i, peer := range e.Peers {
 		v := types.Zero
@@ -146,7 +148,7 @@ func (e *Equivocator) equivocateSlot(tag types.Tag) []types.Message {
 		}
 		body, err := encodeStepFor(tag, v)
 		if err != nil {
-			return nil
+			return out[:start]
 		}
 		out = append(out, types.Message{
 			From:    e.Me,

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/coin"
@@ -378,4 +379,64 @@ func TestCrashAfter(t *testing.T) {
 			t.Fatal("NewCrashAfter accepted a coinless config")
 		}
 	})
+}
+
+// TestEquivocatorRecycleIdentical: reusing the output buffer must not change
+// what the equivocator emits. Two equivocators see the same inputs; one has
+// every result handed back through Recycle, as the simulator does, the
+// other never does. Their outputs must match message for message, and the
+// recycled one must actually reuse its buffer.
+func TestEquivocatorRecycleIdentical(t *testing.T) {
+	peers := types.Processes(7)
+	recycled := &Equivocator{Me: 7, Peers: peers}
+	fresh := &Equivocator{Me: 7, Peers: peers}
+	var inputs []types.Message
+	for round := 1; round <= 3; round++ {
+		for _, step := range []types.Step{types.Step1, types.Step2, types.Step3} {
+			for _, sender := range []types.ProcessID{1, 3, 7} {
+				for _, phase := range []types.Kind{types.KindRBCSend, types.KindRBCEcho} {
+					body, err := wire.EncodeStep(types.StepMessage{Round: round, Step: step, V: types.One})
+					if err != nil {
+						t.Fatal(err)
+					}
+					inputs = append(inputs, types.Message{From: sender, To: 7, Payload: &types.RBCPayload{
+						Phase: phase,
+						ID:    types.InstanceID{Sender: sender, Tag: types.Tag{Round: round, Step: step}},
+						Body:  body,
+					}})
+				}
+			}
+		}
+		inputs = append(inputs, types.Message{From: 2, To: 7, Payload: &types.DecidePayload{V: types.One}})
+	}
+
+	var reusedAt *types.Message // first slot of the last recycled backing array
+	reused := 0
+	compare := func(i int, got, want []types.Message) {
+		t.Helper()
+		if len(got) > 0 && &got[:1][0] == reusedAt {
+			reused++
+		}
+		if len(got) != len(want) {
+			t.Fatalf("input %d: recycled equivocator emitted %d messages, fresh one %d", i, len(got), len(want))
+		}
+		for j := range got {
+			if !reflect.DeepEqual(got[j], want[j]) {
+				t.Fatalf("input %d, message %d: recycled equivocator emitted %v, fresh one %v", i, j, got[j], want[j])
+			}
+		}
+		// Compare before handing the slice back: Recycle lets the next call
+		// overwrite it.
+		if cap(got) > 0 {
+			reusedAt = &got[:1][0]
+		}
+		recycled.Recycle(got)
+	}
+	compare(-1, recycled.Start(), fresh.Start())
+	for i, m := range inputs {
+		compare(i, recycled.Deliver(m), fresh.Deliver(m))
+	}
+	if reused == 0 {
+		t.Fatal("recycled equivocator never reused its output buffer")
+	}
 }

@@ -9,10 +9,9 @@ import (
 	"repro/internal/types"
 )
 
-// TestQueuePopsTotalOrder: the 4-ary heap must pop the unique ascending
-// (at, seq) sequence for any insertion pattern — the property that makes it
-// a drop-in replacement for the seed's container/heap queue (same total
-// order, therefore byte-identical executions).
+// TestQueuePopsTotalOrder: the 4-ary heap (the calendar queue's far tier)
+// must pop the unique ascending (at, seq) sequence for any insertion
+// pattern, including pushes below the last popped time.
 func TestQueuePopsTotalOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -79,6 +78,136 @@ func TestQueueMatchesBoxedHeap(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatalf("boxed heap still holds %d events", b.Len())
 	}
+}
+
+// queueCoverage counts the situations queue-op streams reached, so the
+// differential test can show it exercised each one.
+type queueCoverage struct {
+	sameTick  int // pushes due at the current time (the rush scheduler)
+	far       int // pushes into the far tier past the ring's window
+	belowBase int // pushes due in [now, base) while the ring holds events
+	newChunk  int // pushes that linked a second chunk into a bucket
+	mixedPops int // pops with both tiers non-empty
+	refills   int // pushes into a queue drained to empty
+	wrapped   int // ring pops from the second lap of the ring onward
+}
+
+// runQueueOps drives a calendarQueue and the container/heap replica with
+// the same operations, the way Network drives its queue: the clock is the
+// time of the last pop, every push is due at or after it, and every push
+// takes the next sequence number. It fails t at the first divergence and
+// adds the situations it reached to cov. Each byte of ops is one operation:
+//
+//	0x00–0x03  pop until empty
+//	0x04–0x9f  pop one event
+//	0xa0–0xdf  push one event due 0–63 ticks ahead
+//	0xe0–0xef  push one event due 192–1152 ticks ahead
+//	0xf0–0xff  push 1–61 events due now
+func runQueueOps(t testing.TB, ops []byte, cov *queueCoverage) {
+	var (
+		q   calendarQueue
+		ref boxedQueue
+		now Time
+		seq uint64
+	)
+	drained := false
+	push := func(at Time) {
+		if at == now {
+			cov.sameTick++
+		}
+		switch {
+		case at < q.base:
+			if q.near > 0 {
+				cov.belowBase++
+			}
+		case at >= q.base+ringWidth:
+			cov.far++
+		case q.ring[at&ringMask].w == chunkLen:
+			cov.newChunk++
+		}
+		if drained {
+			cov.refills++
+			drained = false
+		}
+		seq++
+		e := event{at: at, seq: seq, sent: now}
+		q.push(e)
+		heap.Push(&ref, e)
+	}
+	pop := func() {
+		if q.near > 0 && q.far.Len() > 0 {
+			cov.mixedPops++
+		}
+		near := q.near
+		got, want := q.pop(), heap.Pop(&ref).(event)
+		if got != want {
+			t.Fatalf("calendar pop %+v, container/heap pop %+v", got, want)
+		}
+		if q.near < near && got.at >= ringWidth {
+			cov.wrapped++
+		}
+		now = got.at
+		if q.Len() == 0 {
+			drained = true
+		}
+	}
+	for _, op := range ops {
+		switch {
+		case op < 0x04:
+			for q.Len() > 0 {
+				pop()
+			}
+		case op < 0xa0:
+			if q.Len() > 0 {
+				pop()
+			}
+		case op < 0xe0:
+			push(now + Time(op-0xa0))
+		case op < 0xf0:
+			push(now + 192 + 64*Time(op-0xe0))
+		default:
+			for i := 0; i <= 4*int(op-0xf0); i++ {
+				push(now)
+			}
+		}
+		if q.Len() != ref.Len() {
+			t.Fatalf("calendar queue holds %d events, container/heap %d", q.Len(), ref.Len())
+		}
+	}
+	for q.Len() > 0 {
+		pop()
+	}
+}
+
+// TestCalendarQueueMatchesBoxedHeap cross-checks the calendar queue against
+// a replica of the seed's container/heap queue on simulator-shaped traffic,
+// and checks the traffic reached every case the two-tier design has to get
+// right: same-tick pushes while that tick drains, far events mixed with
+// near ones, pushes below base after a far-tier pop, chunk boundaries, ring
+// wrap-around, and draining to empty then refilling.
+func TestCalendarQueueMatchesBoxedHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var cov queueCoverage
+	for trial := 0; trial < 200; trial++ {
+		ops := make([]byte, 1+rng.Intn(4000))
+		rng.Read(ops)
+		runQueueOps(t, ops, &cov)
+	}
+	t.Logf("coverage: %+v", cov)
+	if cov.sameTick == 0 || cov.far == 0 || cov.belowBase == 0 || cov.newChunk == 0 ||
+		cov.mixedPops == 0 || cov.refills == 0 || cov.wrapped == 0 {
+		t.Fatalf("op streams missed a case: %+v", cov)
+	}
+}
+
+// FuzzQueue runs the calendar-queue differential check on arbitrary
+// operation streams (see runQueueOps for the encoding).
+func FuzzQueue(f *testing.F) {
+	f.Add([]byte{0xa1, 0xe3, 0xff, 0x10, 0x10, 0xb0, 0x00})
+	f.Add([]byte{0xef, 0xdf, 0x10, 0xdf, 0x10, 0xdf, 0x10, 0x10, 0xa5, 0x10, 0x10})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		runQueueOps(t, ops, new(queueCoverage))
+	})
 }
 
 // TestDenseLookupFallback: IDs beyond the dense table must still resolve
@@ -154,12 +283,13 @@ func (q *boxedQueue) Pop() any {
 	return it
 }
 
-// queueBacklog models the delivery loop's queue traffic: a standing
-// backlog with one push+pop per simulated delivery.
+// queueBacklog is the standing backlog of the heap microbenchmarks.
 const queueBacklog = 1024
 
-// BenchmarkQueuePushPop measures the concrete-typed 4-ary heap on the
-// delivery hot path (expect 0 allocs/op once the backing array is grown).
+// BenchmarkQueuePushPop measures the 4-ary heap, the calendar queue's far
+// tier, on arbitrary times: one push+pop per op over a standing backlog,
+// pushes due anywhere in [0, 1000), including below the last popped time
+// (expect 0 allocs/op once the backing array is grown).
 func BenchmarkQueuePushPop(b *testing.B) {
 	var q eventQueue
 	rng := rand.New(rand.NewSource(1))
@@ -189,5 +319,36 @@ func BenchmarkQueuePushPopBoxedHeap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		heap.Push(&q, event{at: Time(rng.Intn(1000)), seq: uint64(queueBacklog + i)})
 		_ = heap.Pop(&q).(event)
+	}
+}
+
+// simBacklog is the peak queue size of an n=16 replicated-log run under
+// the uniform 1–20 tick delay (perfbench's log workload, sim.queue_peak).
+const simBacklog = 4277
+
+// BenchmarkQueueSimShaped measures the queue on the traffic Network gives
+// it: one pop per op, setting the clock, then one push due 1–20 ticks
+// later, over a standing backlog of simBacklog. The heap sub-benchmark runs
+// the 4-ary heap alone on the same traffic, for comparison.
+func BenchmarkQueueSimShaped(b *testing.B) {
+	b.Run("calendar", func(b *testing.B) { benchSimShaped(b, new(calendarQueue)) })
+	b.Run("heap", func(b *testing.B) { benchSimShaped(b, new(eventQueue)) })
+}
+
+func benchSimShaped(b *testing.B, q interface {
+	push(event)
+	pop() event
+}) {
+	rng := rand.New(rand.NewSource(1))
+	var seq uint64
+	for ; seq < simBacklog; seq++ {
+		q.push(event{at: Time(1 + rng.Intn(20)), seq: seq})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := q.pop().at
+		seq++
+		q.push(event{at: now + Time(1+rng.Intn(20)), seq: seq})
 	}
 }

@@ -173,7 +173,7 @@ type Network struct {
 	dense []Node                   // dense[id] fast path for the delivery loop
 	order []types.ProcessID        // Start order (insertion order, for determinism)
 
-	queue eventQueue
+	queue calendarQueue
 	seq   uint64
 	now   Time
 	stats Stats
