@@ -1,11 +1,15 @@
 // Package gf256 implements arithmetic in the finite field GF(2^8) with the
 // AES reduction polynomial x^8 + x^4 + x^3 + x + 1 (0x11B). It is the
 // algebraic substrate for the Shamir secret sharing used by the Rabin-style
-// common coin dealer (internal/shamir, internal/coin).
+// common coin dealer (internal/shamir, internal/coin) and for the
+// Reed–Solomon erasure code of coded reliable broadcast (internal/rscode).
 //
-// Multiplication and inversion are table-driven via discrete logarithms with
-// the generator 0x03, so all operations are constant-time-ish table lookups —
-// plenty fast for coin reconstruction, which handles n shares per round.
+// Scalar multiplication and inversion are table-driven via discrete
+// logarithms with the generator 0x03. Bulk coding work goes through MulAdd,
+// which computes dst[i] ^= c·src[i] from one row of a 64 KiB product table
+// (mulTable[c][x] = c·x, built from the log/exp tables at package init):
+// one lookup and one XOR per byte, with no zero tests, in a loop unrolled by
+// eight so the compiler drops the bounds checks.
 package gf256
 
 // poly is the AES reduction polynomial (without the x^8 term, applied during
@@ -22,6 +26,21 @@ type tables struct {
 }
 
 var _tables = buildTables()
+
+// mulTable[c][x] = c·x: the full product table MulAdd streams through, one
+// 256-byte row per coefficient.
+var mulTable = buildMulTable()
+
+func buildMulTable() *[256][256]byte {
+	t := new([256][256]byte)
+	for c := 1; c < 256; c++ {
+		lc := int(_tables.log[c])
+		for x := 1; x < 256; x++ {
+			t[c][x] = _tables.exp[lc+int(_tables.log[x])]
+		}
+	}
+	return t
+}
 
 func buildTables() *tables {
 	t := &tables{}
@@ -68,6 +87,33 @@ func Mul(a, b byte) byte {
 		return 0
 	}
 	return _tables.exp[int(_tables.log[a])+int(_tables.log[b])]
+}
+
+// MulAdd computes dst[i] ^= c·src[i] for every i < len(dst): it adds c times
+// src into dst, the multiply-accumulate step of Reed–Solomon encoding and
+// interpolation. src must be at least len(dst) long; bytes past len(dst) are
+// not read. c == 0 leaves dst unchanged.
+func MulAdd(c byte, dst, src []byte) {
+	if c == 0 {
+		return
+	}
+	row := &mulTable[c]
+	src = src[:len(dst)]
+	for len(dst) >= 8 {
+		d, s := dst[:8:8], src[:8:8]
+		d[0] ^= row[s[0]]
+		d[1] ^= row[s[1]]
+		d[2] ^= row[s[2]]
+		d[3] ^= row[s[3]]
+		d[4] ^= row[s[4]]
+		d[5] ^= row[s[5]]
+		d[6] ^= row[s[6]]
+		d[7] ^= row[s[7]]
+		dst, src = dst[8:], src[8:]
+	}
+	for i, x := range src {
+		dst[i] ^= row[x]
+	}
 }
 
 // MulSlow exposes the reference multiplication for cross-checking in tests.

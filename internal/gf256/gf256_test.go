@@ -1,6 +1,8 @@
 package gf256
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -12,6 +14,65 @@ func TestMulMatchesReference(t *testing.T) {
 			want := MulSlow(byte(a), byte(b))
 			if got != want {
 				t.Fatalf("Mul(%d, %d) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+}
+
+func TestMulTableMatchesReference(t *testing.T) {
+	for a := 0; a < 256; a++ {
+		for b := 0; b < 256; b++ {
+			if got, want := mulTable[a][b], MulSlow(byte(a), byte(b)); got != want {
+				t.Fatalf("mulTable[%d][%d] = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+}
+
+// TestMulAddMatchesReference checks MulAdd against MulSlow for every
+// coefficient and every length from 0 to 17: empty slices, tail-only
+// lengths, one and two unrolled blocks with and without a tail. dst starts
+// with random bytes, so the test also pins that MulAdd accumulates (XORs
+// into dst) rather than overwriting it, and that c = 0 leaves dst as it is.
+func TestMulAddMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for c := 0; c < 256; c++ {
+		for n := 0; n <= 17; n++ {
+			src := make([]byte, n)
+			dst := make([]byte, n)
+			rng.Read(src)
+			rng.Read(dst)
+			want := make([]byte, n)
+			for i := range want {
+				want[i] = dst[i] ^ MulSlow(byte(c), src[i])
+			}
+			MulAdd(byte(c), dst, src)
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("MulAdd(c=%d, len=%d) = %x, want %x", c, n, dst, want)
+			}
+		}
+	}
+}
+
+// TestMulAddReadsOnlyDstLen: a longer src contributes only its first
+// len(dst) bytes, and dst is never written past its length.
+func TestMulAddReadsOnlyDstLen(t *testing.T) {
+	for n := 0; n <= 17; n++ {
+		backing := bytes.Repeat([]byte{0xAA}, n+4)
+		dst := backing[:n]
+		src := make([]byte, n+9)
+		for i := range src {
+			src[i] = byte(i + 1)
+		}
+		MulAdd(0x57, dst, src)
+		for i := 0; i < n; i++ {
+			if want := 0xAA ^ MulSlow(0x57, src[i]); dst[i] != want {
+				t.Fatalf("len %d: dst[%d] = %#x, want %#x", n, i, dst[i], want)
+			}
+		}
+		for i := n; i < len(backing); i++ {
+			if backing[i] != 0xAA {
+				t.Fatalf("len %d: wrote past dst at %d", n, i)
 			}
 		}
 	}
@@ -276,4 +337,15 @@ func hasDup(xs []byte) bool {
 		seen[x] = true
 	}
 	return false
+}
+
+func BenchmarkMulAdd(b *testing.B) {
+	src := make([]byte, 64<<10)
+	dst := make([]byte, len(src))
+	rand.New(rand.NewSource(1)).Read(src)
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		MulAdd(0x8E, dst, src)
+	}
 }

@@ -7,7 +7,7 @@
 // fragments of |v|/k bytes and echoes only those, cutting the body traffic
 // to O(n·|v|) total (O(|v|) per process) plus an O(n²·λ) checksum term:
 //
-//	sender:  split body into k data + n−k parity shards (internal/rscode);
+//	sender:  encode body as k data + n−k parity shards (internal/rscode);
 //	         Sums ← the n fragment SHA-256 digests, concatenated;
 //	         send FRAG(i, |v|, Sums, shard_i) to peer i        — "disperse"
 //	on FRAG from the instance's sender carrying MY index, first one only,
@@ -48,6 +48,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/quorum"
 	"repro/internal/rscode"
@@ -158,17 +159,23 @@ func (b *Broadcaster) cinst(id types.InstanceID) *codedInst {
 	return ci
 }
 
-// appendDisperse is the coded sender path: split the body, digest every
-// shard, and send each peer its fragment with the full cross-checksum. The
-// Sums string is shared by all n payloads.
+// appendDisperse is the coded sender path: encode the body one shard at a
+// time, digest every shard, and send each peer its fragment with the full
+// cross-checksum. The Sums string is shared by all n payloads.
 func (b *Broadcaster) appendDisperse(out []types.Message, tag types.Tag, body string) []types.Message {
 	id := types.InstanceID{Sender: b.me, Tag: tag}
-	b.scratch = append(b.scratch[:0], body...)
-	shards := b.code.Split(b.scratch)
-	sums := make([]byte, 0, len(shards)*sumLen)
-	for _, s := range shards {
+	// scratch holds the shard buffer, then a copy of the body to encode.
+	sl := b.code.ShardLen(len(body))
+	b.scratch = append(slices.Grow(b.scratch[:0], sl)[:sl], body...)
+	buf, raw := b.scratch[:sl], b.scratch[sl:]
+	n := b.code.N()
+	frags := make([]string, n)
+	sums := make([]byte, 0, n*sumLen)
+	for i := range frags {
+		s := b.code.Shard(buf, raw, i)
 		d := sha256.Sum256(s)
 		sums = append(sums, d[:]...)
+		frags[i] = string(s)
 	}
 	sumsStr := string(sums)
 	for i, peer := range b.peers {
@@ -177,7 +184,7 @@ func (b *Broadcaster) appendDisperse(out []types.Message, tag types.Tag, body st
 			Index:    i,
 			TotalLen: len(body),
 			Sums:     sumsStr,
-			Frag:     string(shards[i]),
+			Frag:     frags[i],
 		}
 		out = append(out, types.Message{From: b.me, To: peer, Payload: p})
 	}
@@ -375,18 +382,19 @@ func (b *Broadcaster) tryDecode(ci *codedInst, key string) (string, bool) {
 		set.poisoned = true
 		return "", false
 	}
-	// Re-encode and verify the full digest vector: the k fragments we used
-	// are digest-bound already, and this check extends the binding to every
-	// shard a straggler might decode from instead.
-	reShards := b.code.Split(body)
-	for i, s := range reShards {
-		d := sha256.Sum256(s)
+	// Re-encode and verify the full digest vector, one shard at a time: the
+	// k fragments we used are digest-bound already, and this check extends
+	// the binding to every shard a straggler might decode from instead.
+	// scratch is the shard buffer, sized up front: Shard's result is never
+	// adopted as the buffer, since a data shard aliases body and the next
+	// parity shard would overwrite it.
+	b.scratch = slices.Grow(b.scratch[:0], b.code.ShardLen(len(body)))
+	for i := 0; i < b.code.N(); i++ {
+		d := sha256.Sum256(b.code.Shard(b.scratch, body, i))
 		off := i * sumLen
-		for j := 0; j < sumLen; j++ {
-			if set.sums[off+j] != d[j] {
-				set.poisoned = true
-				return "", false
-			}
+		if set.sums[off:off+sumLen] != string(d[:]) {
+			set.poisoned = true
+			return "", false
 		}
 	}
 	set.decoded = true

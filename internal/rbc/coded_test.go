@@ -371,7 +371,6 @@ func TestCodedPoisonedKeyNeverDelivers(t *testing.T) {
 		p := m.Payload.(*types.RBCFragPayload)
 		frags[p.Index] = p
 	}
-	k := CodedDataShards(spec)
 	evil := strings.Repeat("Z", len(frags[n-1].Frag))
 	evilDigest := sha256.Sum256([]byte(evil))
 	sums := []byte(frags[0].Sums)
@@ -385,7 +384,6 @@ func TestCodedPoisonedKeyNeverDelivers(t *testing.T) {
 		}
 		frags[i] = &fp
 	}
-	_ = k
 	// Disperse the poisoned fragments to the three correct processes.
 	for i, to := range correct {
 		c.enqueue([]types.Message{{From: 4, To: to, Payload: frags[i]}})
@@ -414,6 +412,67 @@ func TestCodedPoisonedKeyNeverDelivers(t *testing.T) {
 	set := ci.sets[key]
 	if set == nil || !set.poisoned {
 		t.Fatalf("decode verdict not poisoned: %+v", set)
+	}
+}
+
+// TestCodedNonzeroPaddingPoisoned: a Byzantine sender disperses a genuine
+// codeword — of a body one byte longer than the TotalLen it claims, so the
+// last data shard carries a non-zero byte where the padding must be zero.
+// Every fragment passes fragValid and the set is a valid codeword, so only
+// the re-encode hashes of the padded data shard and of the parity shards can
+// catch it: every correct process must poison the key, and none delivers.
+func TestCodedNonzeroPaddingPoisoned(t *testing.T) {
+	n, f := 4, 1
+	spec := quorum.MustNew(n, f)
+	peers := types.Processes(n)
+	correct := []types.ProcessID{1, 2, 3}
+	c := newCodedCluster(t, n, f, correct)
+	liar := NewCoded(4, peers, spec)
+
+	full := "abcdefghij" // k = 2 shards of 5 bytes; the last byte is non-zero
+	claimed := len(full) - 1
+	if liar.code.ShardLen(claimed) != liar.code.ShardLen(len(full)) {
+		t.Fatal("claimed length changes the shard length; fragments would fail fragValid")
+	}
+	frags := make([]*types.RBCFragPayload, n)
+	for _, m := range liar.Broadcast(types.Tag{Seq: 1}, full) {
+		p := *m.Payload.(*types.RBCFragPayload)
+		p.TotalLen = claimed
+		if !c.correct[1].fragValid(&p) {
+			t.Fatalf("fragment %d fails fragValid", p.Index)
+		}
+		frags[p.Index] = &p
+	}
+	// The premise: the dispersal is a codeword (the parity shards alone
+	// decode the full body), just not the codeword of a claimed-length body.
+	k := liar.code.K()
+	idxs, sub := make([]int, 0, k), make([][]byte, 0, k)
+	for i := n - k; i < n; i++ {
+		idxs = append(idxs, i)
+		sub = append(sub, []byte(frags[i].Frag))
+	}
+	if got, err := liar.code.Reconstruct(idxs, sub, len(full)); err != nil || string(got) != full {
+		t.Fatalf("dispersal is not a codeword of the full body: %q %v", got, err)
+	}
+
+	for i, to := range correct {
+		c.enqueue([]types.Message{{From: 4, To: to, Payload: frags[i]}})
+	}
+	c.pumpAll()
+	id := types.InstanceID{Sender: 4, Tag: types.Tag{Seq: 1}}
+	for _, p := range correct {
+		if ds := c.delivered[p]; len(ds) != 0 {
+			t.Fatalf("%v delivered from a dispersal with non-zero padding: %v", p, ds)
+		}
+		b := c.correct[p]
+		ci := b.codedInsts[id]
+		if ci == nil {
+			t.Fatalf("%v holds no instance state", p)
+		}
+		set := ci.sets[b.internKey(ci, claimed, frags[0].Sums)]
+		if set == nil || !set.poisoned {
+			t.Fatalf("%v: decode verdict not poisoned: %+v", p, set)
+		}
 	}
 }
 

@@ -104,8 +104,10 @@ type Broadcaster struct {
 	// peer cannot inject state into either engine.
 	code       *rscode.Code
 	codedInsts map[types.InstanceID]*codedInst
-	// scratch is the reusable hashing buffer of the coded path (fragment
-	// digest checks, tally-key derivation): zero steady-state allocation.
+	// scratch is the reusable buffer of the coded path (fragment digest
+	// checks, tally-key derivation, and the one shard-sized buffer that
+	// dispersal and the re-encode check encode shards into): zero
+	// steady-state allocation.
 	scratch []byte
 	// tele, when non-nil, receives the RBC phase marks: instance first seen
 	// → echo quorum / ready quorum / delivery (see sim.Telemetry). All

@@ -11,9 +11,16 @@
 // any k of the n shards reconstruct every column by Lagrange
 // interpolation. n is capped at 255 by the field size.
 //
-// The per-column work is O(n·k) for Encode and O(k²) for Decode, with the
-// Lagrange coefficients hoisted out of the column loop — one basis
-// computation serves every byte of the shards.
+// Encoding is one shard at a time: Shard(dst, body, i) yields shard i
+// alone, so a caller that only hashes each shard (coded RBC's re-encode
+// check) needs one shard-sized buffer, never a whole codeword. A data shard
+// wholly inside the body is a subslice of it; the padded last data shard
+// and every parity shard are written into dst.
+//
+// A parity shard costs k multiply-accumulate passes over a shard (one
+// gf256.MulAdd per data shard); Reconstruct costs k passes per missing data
+// shard. The Lagrange coefficients are computed once per shard, outside the
+// byte loop.
 package rscode
 
 import (
@@ -30,11 +37,11 @@ type Code struct {
 	// parityBasis[p][d] is the Lagrange coefficient mapping data shard d to
 	// parity shard p (evaluation at x = k+p+1 of the basis polynomial that
 	// is 1 at x = d+1 and 0 at the other data points). Precomputed once so
-	// Encode is pure table arithmetic.
+	// Shard is pure table arithmetic.
 	parityBasis [][]byte
 }
 
-// Errors reported by New, Encode, and Decode.
+// Errors reported by New and Reconstruct.
 var (
 	ErrBadParams    = errors.New("rscode: invalid code parameters")
 	ErrBadShards    = errors.New("rscode: malformed shards")
@@ -94,36 +101,41 @@ func (c *Code) ShardLen(bodyLen int) int {
 	return (bodyLen + c.k - 1) / c.k
 }
 
-// Split encodes body into n shards of ShardLen(len(body)) bytes each. The
-// first k shards are the body striped in order (zero-padded at the tail);
-// the remaining n−k are parity. The body is not retained; shards are fresh
-// allocations.
-func (c *Code) Split(body []byte) [][]byte {
+// Shard returns shard i (0 ≤ i < n) of body's codeword, ShardLen(len(body))
+// bytes long. A data shard that lies wholly inside body is returned as a
+// subslice of body (capacity capped at its length), with no copy; every
+// other shard — the zero-padded last data shard, the all-padding data
+// shards past the body, and the parity shards — is written into dst, which
+// is grown only if its capacity is below ShardLen. The result therefore
+// aliases either body or dst: callers reusing dst across calls must keep
+// their own buffer, never adopt the returned slice as the next dst.
+func (c *Code) Shard(dst, body []byte, i int) []byte {
 	shardLen := c.ShardLen(len(body))
-	// One backing array for all shards keeps Split at a single allocation
-	// beyond the slice headers.
-	backing := make([]byte, c.n*shardLen)
-	shards := make([][]byte, c.n)
-	for i := range shards {
-		shards[i] = backing[i*shardLen : (i+1)*shardLen]
+	lo := i * shardLen
+	if i < c.k && lo+shardLen <= len(body) {
+		return body[lo : lo+shardLen : lo+shardLen]
 	}
-	for d := 0; d < c.k; d++ {
-		copy(shards[d], body[min(d*shardLen, len(body)):min((d+1)*shardLen, len(body))])
+	if cap(dst) < shardLen {
+		dst = make([]byte, shardLen)
 	}
-	for p, basis := range c.parityBasis {
-		out := shards[c.k+p]
-		for d := 0; d < c.k; d++ {
-			coef := basis[d]
-			if coef == 0 {
-				continue
-			}
-			data := shards[d]
-			for b := 0; b < shardLen; b++ {
-				out[b] = gf256.Add(out[b], gf256.Mul(data[b], coef))
-			}
+	dst = dst[:shardLen]
+	if i < c.k {
+		n := copy(dst, body[min(lo, len(body)):])
+		clear(dst[n:])
+		return dst
+	}
+	clear(dst)
+	// The padding past len(body) is zero and contributes nothing, so the
+	// short last data slice accumulates into a prefix of dst.
+	for d, coef := range c.parityBasis[i-c.k] {
+		lo := d * shardLen
+		if lo >= len(body) {
+			break
 		}
+		data := body[lo:min(lo+shardLen, len(body))]
+		gf256.MulAdd(coef, dst[:len(data)], data)
 	}
-	return shards
+	return dst
 }
 
 // Reconstruct recovers the first bodyLen bytes of the original body from any
@@ -199,13 +211,8 @@ func (c *Code) Reconstruct(indices []int, shards [][]byte, bodyLen int) ([]byte,
 			copy(dst, dataAt[d])
 			continue
 		}
-		basis := lagrangeAt(point(d), useIdx)
-		for b := range dst {
-			var acc byte
-			for i := range useIdx {
-				acc = gf256.Add(acc, gf256.Mul(useShard[i][b], basis[i]))
-			}
-			dst[b] = acc
+		for i, coef := range lagrangeAt(point(d), useIdx) {
+			gf256.MulAdd(coef, dst, useShard[i])
 		}
 	}
 	return body, nil

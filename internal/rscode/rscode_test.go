@@ -2,6 +2,7 @@ package rscode
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"math/rand"
 	"testing"
@@ -16,6 +17,53 @@ func mustCode(t *testing.T, n, k int) *Code {
 		t.Fatalf("New(%d, %d): %v", n, k, err)
 	}
 	return c
+}
+
+// encodeAll returns all n shards of body's codeword, each from Shard into a
+// fresh buffer.
+func encodeAll(c *Code, body []byte) [][]byte {
+	shards := make([][]byte, c.n)
+	for i := range shards {
+		shards[i] = c.Shard(nil, body, i)
+	}
+	return shards
+}
+
+// splitRef is the original whole-codeword encoder, kept as the reference
+// Shard must match: per-byte gf256.Mul over zero-padded copies of the data
+// shards.
+func splitRef(c *Code, body []byte) [][]byte {
+	shardLen := c.ShardLen(len(body))
+	shards := make([][]byte, c.n)
+	for i := range shards {
+		shards[i] = make([]byte, shardLen)
+	}
+	for d := 0; d < c.k; d++ {
+		copy(shards[d], body[min(d*shardLen, len(body)):min((d+1)*shardLen, len(body))])
+	}
+	for p, basis := range c.parityBasis {
+		out := shards[c.k+p]
+		for d := 0; d < c.k; d++ {
+			for b := 0; b < shardLen; b++ {
+				out[b] = gf256.Add(out[b], gf256.Mul(shards[d][b], basis[d]))
+			}
+		}
+	}
+	return shards
+}
+
+// overlaps reports whether s starts anywhere in body's backing array.
+func overlaps(s, body []byte) bool {
+	if len(s) == 0 {
+		return false
+	}
+	full := body[:cap(body)]
+	for i := range full {
+		if &s[0] == &full[i] {
+			return true
+		}
+	}
+	return false
 }
 
 func TestNewRejectsBadParams(t *testing.T) {
@@ -37,7 +85,7 @@ func TestNewRejectsBadParams(t *testing.T) {
 func TestSystematicPrefix(t *testing.T) {
 	c := mustCode(t, 7, 3)
 	body := []byte("systematic prefix check!")
-	shards := c.Split(body)
+	shards := encodeAll(c, body)
 	if len(shards) != 7 {
 		t.Fatalf("got %d shards", len(shards))
 	}
@@ -57,7 +105,7 @@ func TestRoundTripAllKSubsets(t *testing.T) {
 	const n, k = 6, 3
 	c := mustCode(t, n, k)
 	body := []byte("any k of n shards reconstruct the body")
-	shards := c.Split(body)
+	shards := encodeAll(c, body)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			for l := j + 1; l < n; l++ {
@@ -88,7 +136,7 @@ func TestShardsArePolynomialEvaluations(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	body := make([]byte, 4*k+3)
 	rng.Read(body)
-	shards := c.Split(body)
+	shards := encodeAll(c, body)
 	sl := c.ShardLen(len(body))
 	for col := 0; col < sl; col++ {
 		// Solve for the degree-(k−1) coefficients through the data points
@@ -163,7 +211,7 @@ func TestRoundTripProperty(t *testing.T) {
 		c := mustCode(t, n, k)
 		body := make([]byte, rng.Intn(64))
 		rng.Read(body)
-		shards := c.Split(body)
+		shards := encodeAll(c, body)
 		// Random k-subset in random order.
 		perm := rng.Perm(n)[:k]
 		idxs := make([]int, k)
@@ -184,7 +232,7 @@ func TestRoundTripProperty(t *testing.T) {
 
 func TestEmptyBody(t *testing.T) {
 	c := mustCode(t, 4, 2)
-	shards := c.Split(nil)
+	shards := encodeAll(c, nil)
 	for i, s := range shards {
 		if len(s) != 1 {
 			t.Fatalf("shard %d len = %d, want 1 (empty body still frames)", i, len(s))
@@ -202,7 +250,7 @@ func TestEmptyBody(t *testing.T) {
 func TestReconstructErrors(t *testing.T) {
 	c := mustCode(t, 5, 3)
 	body := []byte("errors")
-	shards := c.Split(body)
+	shards := encodeAll(c, body)
 	t.Run("too few", func(t *testing.T) {
 		_, err := c.Reconstruct([]int{0, 1}, shards[:2], len(body))
 		if !errors.Is(err, ErrTooFewShards) {
@@ -238,14 +286,162 @@ func TestReconstructErrors(t *testing.T) {
 	})
 }
 
-func BenchmarkSplit(b *testing.B) {
+// shardCases yields every (code, body) pair the Shard tests cover: n ∈ {1,
+// 4, 16} with a spread of k, and body lengths 0, 1, k−1, k·L−1 and k·L for a
+// shard length L long enough to reach MulAdd's unrolled loop.
+func shardCases(t *testing.T, fn func(c *Code, body []byte)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	const L = 19
+	for _, n := range []int{1, 4, 16} {
+		for _, k := range []int{1, (n + 1) / 2, n - n/3, n} {
+			c := mustCode(t, n, k)
+			for _, size := range []int{0, 1, k - 1, k*L - 1, k * L} {
+				body := make([]byte, size)
+				rng.Read(body)
+				for i := range body {
+					body[i] |= 1 // non-zero, so padding mistakes show
+				}
+				fn(c, body)
+			}
+		}
+	}
+}
+
+func TestShardMatchesReference(t *testing.T) {
+	shardCases(t, func(c *Code, body []byte) {
+		want := splitRef(c, body)
+		dst := make([]byte, 0, 3) // too small for most cases: Shard must grow it
+		for i := 0; i < c.n; i++ {
+			if got := c.Shard(nil, body, i); !bytes.Equal(got, want[i]) {
+				t.Fatalf("n=%d k=%d len=%d shard %d = %x, want %x", c.n, c.k, len(body), i, got, want[i])
+			}
+			if got := c.Shard(dst, body, i); !bytes.Equal(got, want[i]) {
+				t.Fatalf("n=%d k=%d len=%d shard %d via small dst = %x, want %x", c.n, c.k, len(body), i, got, want[i])
+			}
+		}
+	})
+}
+
+// TestShardAliasing pins where Shard's result lives: whole data shards are
+// subslices of body with capacity capped at the shard, while the padded
+// data shard and every parity shard are written into dst.
+func TestShardAliasing(t *testing.T) {
+	shardCases(t, func(c *Code, body []byte) {
+		sl := c.ShardLen(len(body))
+		dst := make([]byte, sl)
+		for i := 0; i < c.n; i++ {
+			s := c.Shard(dst, body, i)
+			whole := i < c.k && (i+1)*sl <= len(body)
+			switch {
+			case whole && !overlaps(s, body):
+				t.Fatalf("n=%d k=%d len=%d: whole data shard %d copied", c.n, c.k, len(body), i)
+			case whole && cap(s) != sl:
+				t.Fatalf("n=%d k=%d len=%d: data shard %d cap %d, want %d", c.n, c.k, len(body), i, cap(s), sl)
+			case !whole && overlaps(s, body):
+				t.Fatalf("n=%d k=%d len=%d: shard %d aliases body", c.n, c.k, len(body), i)
+			case !whole && &s[0] != &dst[0]:
+				t.Fatalf("n=%d k=%d len=%d: shard %d not written into dst", c.n, c.k, len(body), i)
+			}
+		}
+	})
+}
+
+// TestShardReusedDstLeavesBody runs every shard, twice over in interleaved
+// order, through one dst: no call may write into body, which a caller
+// adopting a data shard as its next dst would cause.
+func TestShardReusedDstLeavesBody(t *testing.T) {
+	shardCases(t, func(c *Code, body []byte) {
+		orig := bytes.Clone(body)
+		want := splitRef(c, body)
+		dst := make([]byte, c.ShardLen(len(body)))
+		for pass := 0; pass < 2; pass++ {
+			for j := 0; j < c.n; j++ {
+				i := (j*7 + pass) % c.n
+				if got := c.Shard(dst, body, i); !bytes.Equal(got, want[i]) {
+					t.Fatalf("n=%d k=%d len=%d pass %d: shard %d = %x, want %x", c.n, c.k, len(body), pass, i, got, want[i])
+				}
+				if !bytes.Equal(body, orig) {
+					t.Fatalf("n=%d k=%d len=%d: Shard(%d) wrote into body", c.n, c.k, len(body), i)
+				}
+			}
+		}
+	})
+}
+
+// FuzzShardRoundTrip encodes every shard with Shard and reconstructs the
+// body from the last k shards (parity-heavy: no systematic fast path unless
+// k = n) and from a random k-subset.
+func FuzzShardRoundTrip(f *testing.F) {
+	f.Add(byte(15), byte(5), int64(1), []byte("any k of n shards reconstruct the body"))
+	f.Add(byte(3), byte(0), int64(2), []byte{})
+	f.Add(byte(0), byte(0), int64(3), []byte{0xFF})
+	f.Fuzz(func(t *testing.T, nb, kb byte, seed int64, body []byte) {
+		n := 1 + int(nb)%32
+		k := 1 + int(kb)%n
+		c := mustCode(t, n, k)
+		shards := encodeAll(c, body)
+		want := splitRef(c, body)
+		for i := range shards {
+			if !bytes.Equal(shards[i], want[i]) {
+				t.Fatalf("n=%d k=%d: shard %d differs from the reference", n, k, i)
+			}
+		}
+		last := make([]int, k)
+		for i := range last {
+			last[i] = n - k + i
+		}
+		perm := rand.New(rand.NewSource(seed)).Perm(n)[:k]
+		for _, idxs := range [][]int{last, perm} {
+			sub := make([][]byte, k)
+			for i, idx := range idxs {
+				sub[i] = shards[idx]
+			}
+			got, err := c.Reconstruct(idxs, sub, len(body))
+			if err != nil {
+				t.Fatalf("n=%d k=%d from %v: %v", n, k, idxs, err)
+			}
+			if !bytes.Equal(got, body) {
+				t.Fatalf("n=%d k=%d from %v: reconstructed %x, want %x", n, k, idxs, got, body)
+			}
+		}
+	})
+}
+
+// BenchmarkShardEncode encodes a whole 64 KiB codeword (n=16, k=6) into n
+// reused buffers: the work the former whole-codeword encoder did, minus its
+// allocation.
+func BenchmarkShardEncode(b *testing.B) {
 	c, _ := New(16, 6)
 	body := make([]byte, 64<<10)
 	rand.New(rand.NewSource(1)).Read(body)
+	dsts := make([][]byte, c.N())
+	for i := range dsts {
+		dsts[i] = make([]byte, c.ShardLen(len(body)))
+	}
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Split(body)
+	for it := 0; it < b.N; it++ {
+		for i, dst := range dsts {
+			c.Shard(dst, body, i)
+		}
+	}
+}
+
+// BenchmarkShardReencode is coded RBC's re-encode check at the bulk
+// workload's shape: a 256 KiB body at n=16, k=6, every shard produced
+// through one shard-sized buffer and hashed with SHA-256.
+func BenchmarkShardReencode(b *testing.B) {
+	c, _ := New(16, 6)
+	body := make([]byte, 256<<10)
+	rand.New(rand.NewSource(1)).Read(body)
+	buf := make([]byte, c.ShardLen(len(body)))
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for it := 0; it < b.N; it++ {
+		for i := 0; i < c.N(); i++ {
+			sha256.Sum256(c.Shard(buf, body, i))
+		}
 	}
 }
 
@@ -253,7 +449,7 @@ func BenchmarkReconstructParityHeavy(b *testing.B) {
 	c, _ := New(16, 6)
 	body := make([]byte, 64<<10)
 	rand.New(rand.NewSource(1)).Read(body)
-	shards := c.Split(body)
+	shards := encodeAll(c, body)
 	// Worst case: all parity shards, no systematic fast path.
 	idxs := []int{10, 11, 12, 13, 14, 15}
 	sub := [][]byte{shards[10], shards[11], shards[12], shards[13], shards[14], shards[15]}
