@@ -24,10 +24,10 @@
 // timings or heap samples (E11's heap columns aside). -sweep and -search save their progress with
 // -checkpoint; SIGINT or a -stop-after budget stops them cleanly, and
 // -resume continues to a result byte-identical to an uninterrupted run.
-// -no-prune, -window and -lowwater change only what correct nodes retain,
-// never what they decide (CI diffs the aggregates across them; see
-// ARCHITECTURE.md), and -coded switches dissemination to erasure-coded
-// reliable broadcast, which moves wire bytes but never the digest lines.
+// -no-prune and -window change only what correct nodes retain, never what
+// they decide (CI diffs the aggregates across them; see ARCHITECTURE.md),
+// and -coded switches dissemination to erasure-coded reliable broadcast,
+// which moves wire bytes but never the digest lines.
 //
 // Examples:
 //
@@ -87,7 +87,7 @@ type flags struct {
 	resume, noPrune     bool
 	every               int
 	stopAfter           int64
-	window, lowWater    int
+	window              int
 	search, seeds       string
 	descend             bool
 	throughput          int
@@ -121,7 +121,6 @@ func newFlagSet(fl *flags) *flag.FlagSet {
 	fs.Int64Var(&fl.stopAfter, "stop-after", 0, "-sweep: stop after this many runs this invocation, saving a checkpoint (0 = run to completion)")
 	fs.BoolVar(&fl.noPrune, "no-prune", false, "-sweep: disable per-round state pruning in the correct nodes (memory comparison; behaviour-neutral)")
 	fs.IntVar(&fl.window, "window", 0, "-sweep/-smr/-throughput: per-round retention window of the correct nodes (0 = default 1; behaviour-neutral, aggregates identical at any size)")
-	fs.IntVar(&fl.lowWater, "lowwater", 0, "-sweep: deliveries between cluster low-watermark scans pruning the coin dealer (0 = default; behaviour-neutral)")
 
 	fs.StringVar(&fl.search, "search", "", "scheduler-parameter search mode: walk a family's parameter lattice hunting liveness cliffs (see internal/search families)")
 	fs.StringVar(&fl.seeds, "seeds", "1:9", "-search: seed block seedA:seedB (half-open) every point is scored over")
@@ -155,7 +154,7 @@ type mode struct {
 var modes = []mode{
 	{"", "experiment runs seed quick csv workers", runExperiments},
 	{"scenarios", "", listScenarios},
-	{"sweep", "n f scenario checkpoint resume every stop-after no-prune window lowwater workers", runSweep},
+	{"sweep", "n f scenario checkpoint resume every stop-after no-prune window workers", runSweep},
 	{"search", "n f seeds descend checkpoint resume stop-after workers", runSearch},
 	{"smr", "n f seed ckpt-every window restart ckpt-dir ckpt-attack coded", runSMRCmd},
 	{"throughput", "n f seed batch pipeline ckpt-every window workers coded", runThroughputCmd},
@@ -578,9 +577,8 @@ func runSweep(out io.Writer, fl *flags) error {
 		N: fl.n, F: fl.f, Scenario: sc, Seeds: seeds,
 		Workers: fl.workers, Checkpoint: fl.checkpoint,
 		Every: fl.every, Resume: fl.resume, Stop: stop,
-		DisablePruning:    fl.noPrune,
-		Window:            fl.window,
-		LowWatermarkEvery: fl.lowWater,
+		DisablePruning: fl.noPrune,
+		Window:         fl.window,
 		Progress: func(done, total int64) {
 			if done%256 == 0 {
 				sampleHeap()

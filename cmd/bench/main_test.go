@@ -90,9 +90,8 @@ func TestRunSweepBadFlags(t *testing.T) {
 		{"-sweep", "1:5", "-stop-after", "2"}, // -stop-after without -checkpoint rejected up front
 		{"-checkpoint", "ck.json", "-resume"}, // forgot -sweep: must not launch experiments
 		{"-scenario", "reorder"},
-		{"-no-prune"},        // sweep-only knob
-		{"-window", "2"},     // sweep-only knob
-		{"-lowwater", "512"}, // sweep-only knob
+		{"-no-prune"},    // sweep-only knob
+		{"-window", "2"}, // sweep-only knob
 	}
 	for _, args := range cases {
 		var sb strings.Builder
@@ -131,15 +130,14 @@ func TestRunSweepResumeIdentical(t *testing.T) {
 }
 
 // TestRunSweepWindowIdentical: the CLI surface of the windowing contract —
-// -window N, -lowwater N, and -no-prune must all print byte-identical
-// aggregate JSON, because windowed pruning releases only provably dead
-// state (the CI windowing step runs the same diff at depth).
+// -window N and -no-prune must both print byte-identical aggregate JSON,
+// because windowed pruning releases only provably dead state (the CI
+// windowing step runs the same diff at depth).
 func TestRunSweepWindowIdentical(t *testing.T) {
 	common := []string{"-sweep", "1:9", "-n", "8", "-scenario", "straggler-prune", "-json"}
 	variants := [][]string{
 		nil,
 		{"-window", "3"},
-		{"-lowwater", "128"},
 		{"-no-prune"},
 	}
 	var base string
@@ -408,7 +406,7 @@ func benchFlags(dir string) map[string][]string {
 		"scenario": {"-scenario", "reorder"}, "scenarios": {"-scenarios"},
 		"checkpoint": {"-checkpoint", filepath.Join(dir, "ck.json")}, "resume": {"-resume"},
 		"every": {"-every", "2"}, "stop-after": {"-stop-after", "2"}, "no-prune": {"-no-prune"},
-		"window": {"-window", "2"}, "lowwater": {"-lowwater", "64"},
+		"window": {"-window", "2"},
 		"search": {"-search", "adaptive"}, "seeds": {"-seeds", "1:3"}, "descend": {"-descend"},
 		"throughput": {"-throughput", "16"}, "batch": {"-batch", "1,2"}, "pipeline": {"-pipeline", "1"},
 		"telemetry": {"-telemetry"}, "trace": {"-trace", filepath.Join(dir, "out.jsonl")},
@@ -421,13 +419,13 @@ func benchFlags(dir string) map[string][]string {
 // rejects lists, per mode ("" is the experiments, selected by no flag), the
 // flags it refuses besides the other modes' selectors.
 var rejects = map[string]string{
-	"":           "n f scenario checkpoint resume every stop-after no-prune window lowwater ckpt-every restart ckpt-dir ckpt-attack batch pipeline coded seeds descend",
-	"search":     "experiment runs seed quick csv scenario every no-prune window lowwater ckpt-every restart ckpt-dir ckpt-attack batch pipeline coded",
+	"":           "n f scenario checkpoint resume every stop-after no-prune window ckpt-every restart ckpt-dir ckpt-attack batch pipeline coded seeds descend",
+	"search":     "experiment runs seed quick csv scenario every no-prune window ckpt-every restart ckpt-dir ckpt-attack batch pipeline coded",
 	"sweep":      "experiment runs seed quick csv ckpt-every restart ckpt-dir ckpt-attack batch pipeline coded seeds descend",
-	"smr":        "experiment runs quick csv scenario checkpoint resume every stop-after no-prune lowwater workers batch pipeline seeds descend",
-	"throughput": "experiment runs quick csv scenario checkpoint resume every stop-after no-prune lowwater restart ckpt-dir ckpt-attack seeds descend",
-	"telemetry":  "experiment quick csv scenario checkpoint resume every stop-after no-prune window lowwater ckpt-every restart ckpt-dir ckpt-attack batch pipeline coded seeds descend",
-	"trace":      "experiment runs workers quick csv scenario checkpoint resume every stop-after no-prune window lowwater ckpt-every restart ckpt-dir ckpt-attack batch pipeline coded seeds descend",
+	"smr":        "experiment runs quick csv scenario checkpoint resume every stop-after no-prune workers batch pipeline seeds descend",
+	"throughput": "experiment runs quick csv scenario checkpoint resume every stop-after no-prune restart ckpt-dir ckpt-attack seeds descend",
+	"telemetry":  "experiment quick csv scenario checkpoint resume every stop-after no-prune window ckpt-every restart ckpt-dir ckpt-attack batch pipeline coded seeds descend",
+	"trace":      "experiment runs workers quick csv scenario checkpoint resume every stop-after no-prune window ckpt-every restart ckpt-dir ckpt-attack batch pipeline coded seeds descend",
 }
 
 // TestRunModeFlagMatrix pins the full mode × flag matrix: every rejected
@@ -442,8 +440,8 @@ func TestRunModeFlagMatrix(t *testing.T) {
 			t.Errorf("flag -%s has no matrix entry", f.Name)
 		}
 	})
-	if len(vals) != 33 {
-		t.Errorf("matrix names %d flags, want 33", len(vals))
+	if len(vals) != 32 {
+		t.Errorf("matrix names %d flags, want 32", len(vals))
 	}
 	selectors := map[string]bool{}
 	for _, m := range modes {

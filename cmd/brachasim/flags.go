@@ -3,84 +3,44 @@ package main
 import (
 	"fmt"
 	"sort"
+	"strings"
 
-	"repro/internal/runner"
 	"repro/internal/types"
 )
 
-func parseProtocol(s string) (runner.Protocol, error) {
-	switch s {
-	case "bracha":
-		return runner.ProtocolBracha, nil
-	case "benor":
-		return runner.ProtocolBenOr, nil
-	default:
-		return 0, fmt.Errorf("unknown protocol %q", s)
-	}
+// kind is one of runner's enums: values numbered from 1 with no gaps, each
+// named by String, which renders values past the last as "Type(n)".
+type kind interface {
+	~int
+	fmt.Stringer
 }
 
-func parseCoin(s string) (runner.CoinKind, error) {
-	switch s {
-	case "local":
-		return runner.CoinLocal, nil
-	case "common":
-		return runner.CoinCommon, nil
-	case "ideal":
-		return runner.CoinIdeal, nil
-	default:
-		return 0, fmt.Errorf("unknown coin %q", s)
+// kinds lists every value of E in order.
+func kinds[E kind]() []E {
+	var all []E
+	for e := E(1); !strings.HasSuffix(e.String(), fmt.Sprintf("(%d)", int(e))); e++ {
+		all = append(all, e)
 	}
+	return all
 }
 
-func parseAdversary(s string) (runner.Adversary, error) {
-	switch s {
-	case "none":
-		return runner.AdvNone, nil
-	case "silent":
-		return runner.AdvSilent, nil
-	case "equivocator":
-		return runner.AdvEquivocator, nil
-	case "liar":
-		return runner.AdvLiar, nil
-	case "decide-forger":
-		return runner.AdvDecideForger, nil
-	case "split-brain":
-		return runner.AdvSplitBrain, nil
-	case "crash-midway":
-		return runner.AdvCrashMidway, nil
-	default:
-		return 0, fmt.Errorf("unknown adversary %q", s)
+// usage is the help text of the flag selecting a value of E.
+func usage[E kind](what string) string {
+	var names []string
+	for _, e := range kinds[E]() {
+		names = append(names, e.String())
 	}
+	return what + ": " + strings.Join(names, " | ")
 }
 
-func parseScheduler(s string) (runner.SchedulerKind, error) {
-	switch s {
-	case "uniform":
-		return runner.SchedUniform, nil
-	case "fifo":
-		return runner.SchedFIFO, nil
-	case "rush-byz":
-		return runner.SchedRushByz, nil
-	case "partition":
-		return runner.SchedPartition, nil
-	default:
-		return 0, fmt.Errorf("unknown scheduler %q", s)
+// parseKind returns the value of E that String names s.
+func parseKind[E kind](what, s string) (E, error) {
+	for _, e := range kinds[E]() {
+		if e.String() == s {
+			return e, nil
+		}
 	}
-}
-
-func parseInputs(s string) (runner.Inputs, error) {
-	switch s {
-	case "unanimous-0":
-		return runner.InputUnanimous0, nil
-	case "unanimous-1":
-		return runner.InputUnanimous1, nil
-	case "split":
-		return runner.InputSplit, nil
-	case "random":
-		return runner.InputRandom, nil
-	default:
-		return 0, fmt.Errorf("unknown inputs %q", s)
-	}
+	return 0, fmt.Errorf("unknown %s %q", what, s)
 }
 
 func sortedKeys(m map[types.ProcessID]types.Value) []types.ProcessID {

@@ -33,11 +33,11 @@ func run(args []string, out io.Writer) error {
 		n         = fs.Int("n", 7, "number of processes")
 		f         = fs.Int("f", 2, "assumed fault bound (thresholds derive from this)")
 		byz       = fs.Int("byzantine", -1, "actual faulty processes (-1 = f)")
-		protocol  = fs.String("protocol", "bracha", "protocol: bracha | benor")
-		coinKind  = fs.String("coin", "common", "coin: local | common | ideal")
-		adv       = fs.String("adversary", "silent", "adversary: none | silent | equivocator | liar | decide-forger | split-brain")
-		scheduler = fs.String("scheduler", "uniform", "scheduler: uniform | fifo | rush-byz | partition")
-		inputs    = fs.String("inputs", "split", "inputs: unanimous-0 | unanimous-1 | split | random")
+		protocol  = fs.String("protocol", "bracha", usage[runner.Protocol]("protocol"))
+		coinKind  = fs.String("coin", "common", usage[runner.CoinKind]("coin"))
+		adv       = fs.String("adversary", "silent", usage[runner.Adversary]("adversary"))
+		scheduler = fs.String("scheduler", "uniform", usage[runner.SchedulerKind]("scheduler"))
+		inputs    = fs.String("inputs", "split", usage[runner.Inputs]("inputs"))
 		seed      = fs.Int64("seed", 1, "run seed (replays are exact)")
 		maxDeliv  = fs.Int("max-deliveries", 0, "delivery budget (0 = default)")
 		maxRounds = fs.Int("max-rounds", 0, "round budget (0 = default)")
@@ -59,19 +59,19 @@ func run(args []string, out io.Writer) error {
 		DisableDecideGadget: *noGadget,
 	}
 	var err error
-	if cfg.Protocol, err = parseProtocol(*protocol); err != nil {
+	if cfg.Protocol, err = parseKind[runner.Protocol]("protocol", *protocol); err != nil {
 		return err
 	}
-	if cfg.Coin, err = parseCoin(*coinKind); err != nil {
+	if cfg.Coin, err = parseKind[runner.CoinKind]("coin", *coinKind); err != nil {
 		return err
 	}
-	if cfg.Adversary, err = parseAdversary(*adv); err != nil {
+	if cfg.Adversary, err = parseKind[runner.Adversary]("adversary", *adv); err != nil {
 		return err
 	}
-	if cfg.Scheduler, err = parseScheduler(*scheduler); err != nil {
+	if cfg.Scheduler, err = parseKind[runner.SchedulerKind]("scheduler", *scheduler); err != nil {
 		return err
 	}
-	if cfg.Inputs, err = parseInputs(*inputs); err != nil {
+	if cfg.Inputs, err = parseKind[runner.Inputs]("inputs", *inputs); err != nil {
 		return err
 	}
 

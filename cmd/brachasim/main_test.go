@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/runner"
 )
 
 func TestRunCleanConfiguration(t *testing.T) {
@@ -72,21 +74,44 @@ func TestRunBenOr(t *testing.T) {
 	}
 }
 
+// TestFlagParsers: every kind of every enum round-trips through its String
+// name, the enumeration reaches the enum's last kind, and the flag help
+// names every kind.
 func TestFlagParsers(t *testing.T) {
-	// Every accepted spelling round-trips through its parser.
-	if _, err := parseProtocol("bracha"); err != nil {
-		t.Error(err)
+	roundTrip(t, "protocol", runner.ProtocolBenOr)
+	roundTrip(t, "coin", runner.CoinIdeal)
+	roundTrip(t, "adversary", runner.AdvCrashMidway)
+	roundTrip(t, "scheduler", runner.SchedAdaptiveRush)
+	roundTrip(t, "inputs", runner.InputRandom)
+}
+
+func roundTrip[E kind](t *testing.T, what string, last E) {
+	t.Helper()
+	all := kinds[E]()
+	if len(all) != int(last) {
+		t.Errorf("%s: enumerated %v, want kinds 1..%v", what, all, last)
 	}
-	if _, err := parseCoin("local"); err != nil {
-		t.Error(err)
+	help := usage[E](what)
+	for _, e := range all {
+		if got, err := parseKind[E](what, e.String()); err != nil || got != e {
+			t.Errorf("%s %q parsed as %v, %v", what, e.String(), got, err)
+		}
+		if !strings.Contains(help, " "+e.String()) {
+			t.Errorf("%s help %q omits %q", what, help, e.String())
+		}
 	}
-	if _, err := parseAdversary("decide-forger"); err != nil {
-		t.Error(err)
+	if _, err := parseKind[E](what, "bogus"); err == nil {
+		t.Errorf("%s: bogus accepted", what)
 	}
-	if _, err := parseScheduler("partition"); err != nil {
-		t.Error(err)
-	}
-	if _, err := parseInputs("unanimous-0"); err != nil {
-		t.Error(err)
+}
+
+// TestRunEveryScheduler: every scheduler the runner offers is selectable
+// and runs a clean consensus.
+func TestRunEveryScheduler(t *testing.T) {
+	for _, s := range kinds[runner.SchedulerKind]() {
+		var sb strings.Builder
+		if err := run([]string{"-n", "4", "-f", "1", "-scheduler", s.String()}, &sb); err != nil {
+			t.Errorf("-scheduler %s: %v\n%s", s, err, sb.String())
+		}
 	}
 }

@@ -1,13 +1,13 @@
-// Package auth provides the message authentication the paper assumes of its
-// point-to-point links, plus the share authentication used by the common-coin
-// dealer. Both are HMAC-SHA256.
+// Package auth provides HMAC-SHA256 authentication for the checkpoint plane's
+// votes and the common-coin dealer's shares.
 //
 // Two trust shapes are supported:
 //
 //   - Keyring: pairwise symmetric keys derived from a system master secret,
 //     modelling "authenticated channels" between every pair of processes. A
 //     Byzantine process knows only the keys on its own links, so it cannot
-//     forge traffic between two correct processes. Used by the TCP transport.
+//     forge traffic between two correct processes. Checkpoint votes carry
+//     one MAC per receiver under these keys (internal/ckpt).
 //   - DealerKeys: per-(process, round) keys derived from a dealer secret,
 //     used to authenticate coin shares so Byzantine processes cannot inject
 //     fabricated shares into the reconstruction.

@@ -119,12 +119,12 @@ func FoldEntry(prev uint64, slot int, proposer types.ProcessID, command string) 
 }
 
 // Authority is one replica's endpoint of the vote-authentication scheme: a
-// keyring of pairwise link keys (derived, like the transport's, from the
-// cluster master secret via internal/auth) plus the cluster membership,
-// which fixes every vector's receiver indexing. A replica signs its votes
-// as a full vector — one MAC per receiver — and verifies relayed votes by
-// checking its own entry under the (voter, me) link key, which a Byzantine
-// relay cannot know for correct pairs.
+// keyring of pairwise link keys (derived from the cluster master secret via
+// internal/auth) plus the cluster membership, which fixes every vector's
+// receiver indexing. A replica signs its votes as a full vector — one MAC
+// per receiver — and verifies relayed votes by checking its own entry under
+// the (voter, me) link key, which a Byzantine relay cannot know for correct
+// pairs.
 type Authority struct {
 	keyring *auth.Keyring
 	peers   []types.ProcessID
@@ -531,13 +531,6 @@ func (t *Tracker) floor() int {
 // PendingCuts returns how many uncertified cuts hold votes (diagnostics;
 // bounded by the pending-cut cap).
 func (t *Tracker) PendingCuts() int { return len(t.votes) }
-
-// SnapshotAt returns the retained snapshot at a cut this replica reached
-// locally or installed by transfer (ok = false when released or never held).
-func (t *Tracker) SnapshotAt(cut int) (string, bool) {
-	s, ok := t.snapshots[cut]
-	return s, ok
-}
 
 // SnapshotsRetained returns how many cut snapshots the tracker holds
 // (diagnostics; bounded by the pending cuts above the certified one, plus

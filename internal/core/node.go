@@ -69,7 +69,7 @@ type Config struct {
 	// Coded switches step dissemination to erasure-coded reliable broadcast
 	// (AVID-style, see internal/rbc: per-peer fragments plus a SHA-256
 	// cross-checksum instead of full-body echoes). Delivered bodies — and
-	// therefore every decision, digest, and trace event above the transport —
+	// therefore every decision, digest, and trace event above dissemination —
 	// are identical to the uncoded mode; only the wire format changes.
 	Coded bool
 	// DisableValidation turns off message justification (ablation A1).
@@ -113,7 +113,7 @@ type Stats struct {
 }
 
 // Node is one Bracha consensus process. Not safe for concurrent use: drive
-// it from a single loop (the simulator or a transport pump).
+// it from a single loop (the simulator).
 type Node struct {
 	cfg   Config
 	spec  quorum.Spec

@@ -172,33 +172,32 @@ func EvalPoly(coeffs []byte, x byte) byte {
 	return y
 }
 
-// Interpolate returns the value at x=0 of the unique polynomial of degree
-// < len(xs) passing through the points (xs[i], ys[i]), via Lagrange
-// interpolation. The xs must be distinct and non-zero; ok is false otherwise
-// or when the slices are empty or of mismatched length.
-func Interpolate(xs, ys []byte) (secret byte, ok bool) {
-	if len(xs) == 0 || len(xs) != len(ys) {
-		return 0, false
+// LagrangeBasis writes into basis the Lagrange coefficients at x over the
+// points xs: basis[i] = Π_{j≠i} (x − xs[j]) / (xs[i] − xs[j]), so the value
+// at x of the unique polynomial of degree < len(xs) through (xs[i], ys[i])
+// is Σ basis[i]·ys[i]. It reports false, leaving basis unspecified, when xs
+// is empty, basis is not len(xs) long, two points coincide, or a point
+// equals x (for Shamir x = 0, and a share at 0 would be the secret itself).
+func LagrangeBasis(basis, xs []byte, x byte) bool {
+	if len(xs) == 0 || len(basis) != len(xs) {
+		return false
 	}
-	seen := make(map[byte]bool, len(xs))
-	for _, x := range xs {
-		if x == 0 || seen[x] {
-			return 0, false
+	for i, xi := range xs {
+		if xi == x {
+			return false
 		}
-		seen[x] = true
-	}
-	var acc byte
-	for i := range xs {
-		// Lagrange basis at 0: prod_{j≠i} x_j / (x_j − x_i).
 		num, den := byte(1), byte(1)
-		for j := range xs {
+		for j, xj := range xs {
 			if j == i {
 				continue
 			}
-			num = Mul(num, xs[j])
-			den = Mul(den, Sub(xs[j], xs[i]))
+			num = Mul(num, Sub(x, xj))
+			den = Mul(den, Sub(xi, xj))
 		}
-		acc = Add(acc, Mul(ys[i], Div(num, den)))
+		if den == 0 {
+			return false
+		}
+		basis[i] = Div(num, den)
 	}
-	return acc, true
+	return true
 }

@@ -3,6 +3,7 @@ package gf256
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -269,6 +270,20 @@ func TestEvalPoly(t *testing.T) {
 	}
 }
 
+// interpolate evaluates at x the polynomial through (xs[i], ys[i]) via
+// LagrangeBasis.
+func interpolate(xs, ys []byte, x byte) (byte, bool) {
+	basis := make([]byte, len(xs))
+	if !LagrangeBasis(basis, xs, x) {
+		return 0, false
+	}
+	var y byte
+	for i, c := range basis {
+		y = Add(y, Mul(c, ys[i]))
+	}
+	return y, true
+}
+
 func TestInterpolateRecoversConstantTerm(t *testing.T) {
 	coeffs := []byte{0xA7, 0x14, 0x99} // degree 2, secret 0xA7
 	xs := []byte{1, 2, 3}
@@ -276,36 +291,39 @@ func TestInterpolateRecoversConstantTerm(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = EvalPoly(coeffs, x)
 	}
-	got, ok := Interpolate(xs, ys)
+	got, ok := interpolate(xs, ys, 0)
 	if !ok || got != 0xA7 {
-		t.Fatalf("Interpolate = %#x, %v; want 0xA7, true", got, ok)
+		t.Fatalf("interpolate at 0 = %#x, %v; want 0xA7, true", got, ok)
 	}
 }
 
 func TestInterpolateRejectsBadInput(t *testing.T) {
 	tests := []struct {
-		name string
-		xs   []byte
-		ys   []byte
+		name     string
+		xs       []byte
+		basisLen int
+		x        byte
 	}{
-		{"empty", nil, nil},
-		{"length mismatch", []byte{1, 2}, []byte{3}},
-		{"zero x", []byte{0, 1}, []byte{1, 2}},
-		{"duplicate x", []byte{2, 2}, []byte{1, 2}},
+		{"empty", nil, 0, 0},
+		{"length mismatch", []byte{1, 2}, 1, 0},
+		{"zero x", []byte{0, 1}, 2, 0},
+		{"point at target", []byte{1, 5}, 2, 5},
+		{"duplicate x", []byte{2, 2}, 2, 0},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, ok := Interpolate(tt.xs, tt.ys); ok {
-				t.Error("Interpolate accepted invalid input")
+			if LagrangeBasis(make([]byte, tt.basisLen), tt.xs, tt.x) {
+				t.Error("LagrangeBasis accepted invalid input")
 			}
 		})
 	}
 }
 
 // TestInterpolateProperty: for random polynomials of random degree, any
-// d+1 distinct evaluation points recover the constant term.
+// d+1 distinct evaluation points recover the constant term and the value at
+// any other point.
 func TestInterpolateProperty(t *testing.T) {
-	prop := func(secret byte, rest []byte, perm uint) bool {
+	prop := func(secret byte, rest []byte, perm uint, target byte) bool {
 		degree := len(rest) % 8
 		coeffs := append([]byte{secret}, rest[:degree]...)
 		// Pick degree+1 distinct non-zero xs, offset by perm for variety.
@@ -320,8 +338,14 @@ func TestInterpolateProperty(t *testing.T) {
 		for i, x := range xs {
 			ys[i] = EvalPoly(coeffs, x)
 		}
-		got, ok := Interpolate(xs, ys)
-		return ok && got == secret
+		if got, ok := interpolate(xs, ys, 0); !ok || got != secret {
+			return false
+		}
+		got, ok := interpolate(xs, ys, target)
+		if slices.Contains(xs, target) {
+			return !ok
+		}
+		return ok && got == EvalPoly(coeffs, target)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -55,9 +55,17 @@ func New(n, k int) (*Code, error) {
 	}
 	c := &Code{n: n, k: k}
 	if n > k {
+		var pts [255]byte
+		data := pts[:k]
+		for d := range data {
+			data[d] = point(d)
+		}
 		c.parityBasis = make([][]byte, n-k)
 		for p := range c.parityBasis {
-			c.parityBasis[p] = basisAt(point(k+p), k)
+			c.parityBasis[p] = make([]byte, k)
+			if !gf256.LagrangeBasis(c.parityBasis[p], data, point(k+p)) {
+				panic("rscode: data points not distinct from parity points")
+			}
 		}
 	}
 	return c, nil
@@ -71,25 +79,6 @@ func (c *Code) K() int { return c.k }
 
 // point maps shard index i (0-based) to its field evaluation point.
 func point(i int) byte { return byte(i + 1) }
-
-// basisAt returns, for the evaluation point x, the k Lagrange coefficients
-// l_d(x) of the basis polynomials through the data points 1..k: the value of
-// any column polynomial at x is Σ_d data[d]·l_d(x).
-func basisAt(x byte, k int) []byte {
-	basis := make([]byte, k)
-	for d := 0; d < k; d++ {
-		num, den := byte(1), byte(1)
-		for j := 0; j < k; j++ {
-			if j == d {
-				continue
-			}
-			num = gf256.Mul(num, gf256.Sub(x, point(j)))
-			den = gf256.Mul(den, gf256.Sub(point(d), point(j)))
-		}
-		basis[d] = gf256.Div(num, den)
-	}
-	return basis
-}
 
 // ShardLen returns the per-shard byte length for a body of bodyLen bytes:
 // ⌈bodyLen/k⌉, and 1 for an empty body so every shard is non-empty on the
@@ -202,6 +191,11 @@ func (c *Code) Reconstruct(indices []int, shards [][]byte, bodyLen int) ([]byte,
 	// General path: for each missing data shard d, interpolate the column
 	// polynomials at x = d+1 from the k available points. Hoist the Lagrange
 	// coefficients out of the byte loop.
+	var ptsBuf, basisBuf [255]byte
+	pts, basis := ptsBuf[:c.k], basisBuf[:c.k]
+	for i, idx := range useIdx {
+		pts[i] = point(idx)
+	}
 	for d := 0; d < c.k; d++ {
 		if d*shardLen >= bodyLen {
 			break
@@ -211,34 +205,12 @@ func (c *Code) Reconstruct(indices []int, shards [][]byte, bodyLen int) ([]byte,
 			copy(dst, dataAt[d])
 			continue
 		}
-		for i, coef := range lagrangeAt(point(d), useIdx) {
+		if !gf256.LagrangeBasis(basis, pts, point(d)) {
+			panic("rscode: selected shard points not distinct")
+		}
+		for i, coef := range basis {
 			gf256.MulAdd(coef, dst, useShard[i])
 		}
 	}
 	return body, nil
-}
-
-// lagrangeAt returns the Lagrange coefficients evaluating at x the unique
-// degree-(len(idxs)−1) polynomial through the points point(idxs[i]).
-func lagrangeAt(x byte, idxs []int) []byte {
-	basis := make([]byte, len(idxs))
-	for i, xi := range idxs {
-		num, den := byte(1), byte(1)
-		for j, xj := range idxs {
-			if j == i {
-				continue
-			}
-			num = gf256.Mul(num, gf256.Sub(x, point(xj)))
-			den = gf256.Mul(den, gf256.Sub(point(xi), point(xj)))
-		}
-		basis[i] = gf256.Div(num, den)
-	}
-	return basis
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

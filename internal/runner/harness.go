@@ -182,10 +182,6 @@ type PropertySpec struct {
 	// core.Config.Window). Behaviour-neutral: sweep aggregates are bitwise
 	// identical at every window size, which the CI windowing diff enforces.
 	Window int
-	// LowWatermarkEvery is the delivery cadence of cluster low-watermark
-	// scans for the common-coin dealer (0 = runner default; see
-	// Config.LowWatermarkEvery).
-	LowWatermarkEvery int
 
 	// Pass-through sweep knobs (see SweepSpec).
 	Workers    int
@@ -270,7 +266,6 @@ func (p PropertySpec) SweepSpec() (SweepSpec, error) {
 		DisableDecideGadget: sc.NoHalt,
 		DisablePruning:      p.DisablePruning,
 		Window:              p.Window,
-		LowWatermarkEvery:   p.LowWatermarkEvery,
 	}
 	return spec, nil
 }

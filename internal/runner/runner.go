@@ -319,20 +319,17 @@ type Config struct {
 	// neutral at any value: the windowed golden-replay tests and the CI
 	// sweep diff hold every run bitwise identical across window sizes.
 	Window int
-	// LowWatermarkEvery is how many deliveries pass between cluster
-	// low-watermark scans for the common-coin dealer (0 = default). Each
-	// scan takes the minimum current round across the correct nodes and
-	// prunes the dealer's memoized sharings below it — the only per-round
-	// retainer shared across the cluster, so no single node may prune it
-	// alone. Behaviour-neutral: pruned rounds are ones no process will
-	// release or query again.
-	LowWatermarkEvery int
 }
 
-// DefaultLowWatermarkEvery is the default delivery cadence of dealer
-// low-watermark scans: frequent enough that dealer retention tracks the
-// cluster's slowest process closely, rare enough that the O(n) round scan
-// is amortized to nothing against the ~n³ deliveries a round takes.
+// DefaultLowWatermarkEvery is how many deliveries pass between cluster
+// low-watermark scans for the common-coin dealer. Each scan takes the
+// minimum current round across the correct nodes and prunes the dealer's
+// memoized sharings below it — the only per-round retainer shared across
+// the cluster, so no single node may prune it alone. Behaviour-neutral:
+// pruned rounds are ones no process will release or query again. The
+// cadence is frequent enough that dealer retention tracks the cluster's
+// slowest process closely, rare enough that the O(n) round scan is
+// amortized to nothing against the ~n³ deliveries a round takes.
 const DefaultLowWatermarkEvery = 1024
 
 // DealerFloor is the dealer's pruning floor for a cluster whose slowest
@@ -530,19 +527,15 @@ func Run(cfg Config) (*Result, error) {
 		// them by the cluster low-watermark — the minimum current round
 		// across the correct nodes, a round no process will release or
 		// query again (rounds only advance; ShareFor is only called for a
-		// node's current round). Scanned every LowWatermarkEvery
+		// node's current round). Scanned every DefaultLowWatermarkEvery
 		// deliveries inside the existing stop callback; the cadence moves
 		// only retention, never behaviour, so it is exempt from the replay
 		// contract the same way pruning itself is.
-		every := cfg.LowWatermarkEvery
-		if every <= 0 {
-			every = DefaultLowWatermarkEvery
-		}
 		inner := stop
-		countdown := every
+		countdown := DefaultLowWatermarkEvery
 		stop = func() bool {
 			if countdown--; countdown <= 0 {
-				countdown = every
+				countdown = DefaultLowWatermarkEvery
 				low := nodes[0].Round()
 				for _, nd := range nodes[1:] {
 					if r := nd.Round(); r < low {

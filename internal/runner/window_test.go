@@ -57,10 +57,9 @@ func TestStragglerCatchUpAfterRBCPrune(t *testing.T) {
 
 // TestWindowedSweepAggregatesIdentical is the aggregate half of the
 // windowing contract, the in-process version of the CI bench diff: one
-// scenario swept at window 1, window 4, a non-default dealer low-watermark
-// cadence, and with pruning disabled entirely must produce byte-identical
-// aggregates — windowing releases only provably dead state, so nothing any
-// reducer sees can move.
+// scenario swept at window 1, window 4, and with pruning disabled entirely
+// must produce byte-identical aggregates — windowing releases only provably
+// dead state, so nothing any reducer sees can move.
 func TestWindowedSweepAggregatesIdentical(t *testing.T) {
 	sc, err := ScenarioByName("straggler-prune")
 	if err != nil {
@@ -81,9 +80,8 @@ func TestWindowedSweepAggregatesIdentical(t *testing.T) {
 	}
 	base := marshal(PropertySpec{N: 8, F: -1, Scenario: sc, Seeds: seeds, Workers: 2})
 	variants := map[string]PropertySpec{
-		"window=4":       {N: 8, F: -1, Scenario: sc, Seeds: seeds, Workers: 2, Window: 4},
-		"lowwater-every": {N: 8, F: -1, Scenario: sc, Seeds: seeds, Workers: 2, LowWatermarkEvery: 64},
-		"no-prune":       {N: 8, F: -1, Scenario: sc, Seeds: seeds, Workers: 2, DisablePruning: true},
+		"window=4": {N: 8, F: -1, Scenario: sc, Seeds: seeds, Workers: 2, Window: 4},
+		"no-prune": {N: 8, F: -1, Scenario: sc, Seeds: seeds, Workers: 2, DisablePruning: true},
 	}
 	for name, p := range variants {
 		if got := marshal(p); got != base {
@@ -98,16 +96,14 @@ func TestWindowedSweepAggregatesIdentical(t *testing.T) {
 // the retain-everything control. The pinned (scenario, seed) is a
 // deterministic four-round execution (liar-partition, seed 2): long enough
 // that the watermark demonstrably releases dealt rounds, short enough for
-// the default suite. The frequent-scan cadence sharpens the bound without
-// moving behaviour (the aggregate-equality test holds the cadence knob to
-// that).
+// the default suite.
 func TestDealerLowWatermarkBoundsRetention(t *testing.T) {
 	sc, err := ScenarioByName("liar-partition")
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec, err := PropertySpec{N: 8, F: -1, Scenario: sc,
-		Seeds: SeedRange{From: 2, To: 3}, LowWatermarkEvery: 64}.SweepSpec()
+		Seeds: SeedRange{From: 2, To: 3}}.SweepSpec()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+
+	"repro/internal/gf256"
 )
 
 // Share is one participant's fragment of a shared secret. X is the non-zero
@@ -67,7 +69,7 @@ func Split(secret []byte, n, threshold int, rng *rand.Rand) ([]Share, error) {
 			coeffs[c] = byte(rng.Intn(256))
 		}
 		for i := range shares {
-			shares[i].Y[b] = evalPoly(coeffs, shares[i].X)
+			shares[i].Y[b] = gf256.EvalPoly(coeffs, shares[i].X)
 		}
 	}
 	return shares, nil
@@ -134,38 +136,14 @@ func Reconstruct(shares []Share, threshold int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: only %d of %d shares usable (need %d)",
 			ErrBadShares, len(use), len(shares), threshold)
 	}
-	width := len(use[0].Y)
-	// Precompute the Lagrange basis at 0 once; it is shared by all bytes.
-	basis, err := lagrangeBasisAtZero(xs)
-	if err != nil {
-		return nil, err
+	// The secret is Σ basis[i]·Y_i byte-wise, with the Lagrange basis at 0.
+	basis := make([]byte, len(xs))
+	if !gf256.LagrangeBasis(basis, xs, 0) {
+		return nil, ErrBadShares
 	}
-	secret := make([]byte, width)
-	for b := 0; b < width; b++ {
-		var acc byte
-		for i := range use {
-			acc = gfAdd(acc, gfMul(use[i].Y[b], basis[i]))
-		}
-		secret[b] = acc
+	secret := make([]byte, len(use[0].Y))
+	for i := range use {
+		gf256.MulAdd(basis[i], secret, use[i].Y)
 	}
 	return secret, nil
-}
-
-func lagrangeBasisAtZero(xs []byte) ([]byte, error) {
-	basis := make([]byte, len(xs))
-	for i := range xs {
-		num, den := byte(1), byte(1)
-		for j := range xs {
-			if j == i {
-				continue
-			}
-			num = gfMul(num, xs[j])
-			den = gfMul(den, gfAdd(xs[j], xs[i]))
-		}
-		if den == 0 {
-			return nil, ErrBadShares
-		}
-		basis[i] = gfDiv(num, den)
-	}
-	return basis, nil
 }

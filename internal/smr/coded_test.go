@@ -66,7 +66,7 @@ func buildCodedSMR(t *testing.T, n, f, maxSlots, batch, depth, per int, seed int
 // TestSMRCodedClusterAgrees: with erasure-coded dissemination the cluster
 // still commits one identical log everywhere — and that log, entry for entry
 // and digest for digest, is the log the uncoded cluster commits under the
-// same configuration. Coding is a transport optimization; nothing above the
+// same configuration. Coding is a dissemination optimization; nothing above the
 // dissemination plane may notice it.
 func TestSMRCodedClusterAgrees(t *testing.T) {
 	const n, f, slots, batch, depth, per, seed = 4, 1, 8, 3, 2, 6, 5

@@ -169,8 +169,7 @@ type Config struct {
 	CheckpointEvery int
 	// CheckpointSecret is the master secret from which the checkpoint
 	// subsystem derives its pairwise vote-authentication link keys
-	// (trusted setup, as for the transport keyring: each process is dealt
-	// only its own links). All replicas of a deployment must share the
+	// (trusted setup: each process is dealt only its own links). All replicas of a deployment must share the
 	// same master; required when CheckpointEvery > 0.
 	CheckpointSecret []byte
 	// MaxPendingCuts overrides the checkpoint tracker's pending-cut cap

@@ -357,9 +357,9 @@ func (p *CkptCertPayload) String() string {
 }
 
 // Message is a point-to-point message between two processes. From is
-// authenticated by the transport layer (the simulator by construction, TCP by
-// HMAC): a Byzantine process cannot impersonate another process, exactly the
-// "authenticated links" assumption of the paper.
+// authenticated by the simulator, by construction: a Byzantine process
+// cannot impersonate another process, exactly the "authenticated links"
+// assumption of the paper.
 type Message struct {
 	From    ProcessID
 	To      ProcessID

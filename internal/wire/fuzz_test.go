@@ -172,57 +172,3 @@ func FuzzDecodeFrag(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeMessage: full message frames from the network, seeded with every
-// wire kind so the whole Kind dispatch is under fuzz. Three invariants, for
-// arbitrary bytes: the decoder never panics; anything accepted re-encodes to
-// exactly the input bytes (strict canonical decode — padded varints anywhere
-// in the frame, addresses included, must not parse); and MessageSize's pure
-// arithmetic matches the real frame length byte for byte.
-func FuzzDecodeMessage(f *testing.F) {
-	id := types.InstanceID{Sender: 1, Tag: types.Tag{Round: 2, Step: types.Step1, Seq: 3}}
-	sums := string(bytes.Repeat([]byte{0xCD}, 2*SumLen))
-	for _, p := range []types.Payload{
-		&types.RBCPayload{Phase: types.KindRBCSend, ID: id, Body: "send"},
-		&types.RBCPayload{Phase: types.KindRBCEcho, ID: id, Body: "echo"},
-		&types.RBCPayload{Phase: types.KindRBCReady, ID: id, Body: ""},
-		&types.CoinSharePayload{Round: 4, Share: "share", MAC: "mac"},
-		&types.DecidePayload{V: types.One, Instance: 7},
-		&types.PlainPayload{Round: 3, Step: types.Step3, V: types.Zero, D: true},
-		&types.CkptVotePayload{Slot: 5, StateDigest: 0xDEAD, LogDigest: 0xBEEF, MACs: []string{"m0", "m1"}},
-		&types.CkptRequestPayload{Slot: 5, Nonce: 99},
-		&types.CkptCertPayload{Slot: 5, StateDigest: 1, LogDigest: 2,
-			Voters: []types.ProcessID{0, 3}, VoteMACs: [][]string{{"a"}, {"b", "c"}}, Snapshot: "snap"},
-		&types.RBCFragPayload{ID: id, Index: 1, TotalLen: 10, Sums: sums, Frag: "fr"},
-		&types.RBCSumPayload{ID: id, Sum: sums[:SumLen]},
-	} {
-		buf, err := EncodeMessage(types.Message{From: 1, To: 2, Payload: p})
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf)
-	}
-	f.Add([]byte{})
-	// A padded From varint (0x81 0x00 encodes the same value as 0x01): the
-	// canonical check must reject it even though every field parses.
-	if buf, err := EncodeMessage(types.Message{From: 1, To: 2, Payload: &types.DecidePayload{V: types.One}}); err == nil {
-		f.Add(append([]byte{0x82, 0x00}, buf[1:]...))
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeMessage(data)
-		if err != nil {
-			return
-		}
-		re, err := EncodeMessage(m)
-		if err != nil {
-			t.Fatalf("decoded message failed to re-encode: %v", err)
-		}
-		if !bytes.Equal(re, data) {
-			t.Fatalf("decode not canonical: accepted %x, canonical form is %x", data, re)
-		}
-		if got := MessageSize(m); got != len(data) {
-			t.Fatalf("MessageSize = %d, frame is %d bytes", got, len(data))
-		}
-	})
-}

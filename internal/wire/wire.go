@@ -1,8 +1,8 @@
 // Package wire is the hand-rolled binary codec for every protocol payload.
-// It serves two needs: the TCP transport frames (internal/transport) and the
-// canonical encoding of consensus step messages into reliable-broadcast
-// bodies (internal/core), where a compact, deterministic, comparable byte
-// string is required.
+// It serves two needs: the simulator's bytes-on-wire metering (MessageSize,
+// pinned to EncodeMessage's frame length) and the canonical encoding of
+// consensus step messages into reliable-broadcast bodies (internal/core),
+// where a compact, deterministic, comparable byte string is required.
 //
 // The format is a one-byte kind discriminator followed by the payload's
 // fields as varints (signed fields zig-zag encoded) and length-prefixed byte
@@ -485,7 +485,7 @@ func decodePayload(buf []byte) (types.Payload, []byte, error) {
 // kinds hash fragments, the checkpoint plane digests certificates), so two
 // distinct encodings of one logical payload must not both parse (the same
 // reasoning DecodeStep and DecodeBatch apply to RBC bodies). DecodePayload
-// and DecodeMessage apply it at the entry point, covering every kind at once.
+// applies it at the entry point, covering every kind at once.
 func checkCanonical(p types.Payload, full []byte, consumed int) error {
 	bp := GetBuffer()
 	re, err := AppendPayload(*bp, p)
@@ -499,7 +499,8 @@ func checkCanonical(p types.Payload, full []byte, consumed int) error {
 	return err
 }
 
-// EncodeMessage serializes a full point-to-point message (for transports).
+// EncodeMessage serializes a full point-to-point message: the From and To
+// varints, then the payload. MessageSize is defined as its length.
 func EncodeMessage(m types.Message) ([]byte, error) {
 	return AppendMessage(nil, m)
 }
@@ -514,41 +515,6 @@ func AppendMessage(dst []byte, m types.Message) ([]byte, error) {
 		return dst, err
 	}
 	return buf, nil
-}
-
-// DecodeMessage parses a message produced by EncodeMessage. Like
-// DecodePayload it is strictly canonical: the whole frame — the From/To
-// varints included — is re-encoded and compared against the input, so a
-// padded address varint cannot yield two wire frames for one message.
-func DecodeMessage(buf []byte) (types.Message, error) {
-	full := buf
-	from, buf, err := readInt(buf)
-	if err != nil {
-		return types.Message{}, err
-	}
-	to, buf, err := readInt(buf)
-	if err != nil {
-		return types.Message{}, err
-	}
-	p, rest, err := decodePayload(buf)
-	if err != nil {
-		return types.Message{}, err
-	}
-	if len(rest) != 0 {
-		return types.Message{}, ErrTrailing
-	}
-	m := types.Message{From: types.ProcessID(from), To: types.ProcessID(to), Payload: p}
-	bp := GetBuffer()
-	re, err := AppendMessage(*bp, m)
-	if err == nil && (len(re) != len(full) || string(re) != string(full)) {
-		err = fmt.Errorf("%w: non-canonical message encoding", ErrBadValue)
-	}
-	*bp = re[:0]
-	PutBuffer(bp)
-	if err != nil {
-		return types.Message{}, err
-	}
-	return m, nil
 }
 
 // EncodeStep canonically encodes a consensus step message for use as a
